@@ -30,6 +30,9 @@ inline double seconds_since(clock_type::time_point t0) {
 
 // ---------------------------------------------------------------- arguments
 
+/// Set-up repetitions behind setup_s (median reported).
+constexpr unsigned setup_reps = 5;
+
 struct run_args {
   std::string workload;
   std::uint64_t seed = 1;
@@ -37,8 +40,6 @@ struct run_args {
   bool trace = false;
   /// 0 = the workload's own scale. Only the tests shrink it.
   unsigned scale = 0;
-  /// Set-up repetitions behind setup_s (median reported).
-  unsigned setup_reps = 5;
   /// Negative test hook: flip one label of the first checked job before the
   /// gate compares it, so the run must fail.
   bool corrupt_labels = false;

@@ -1,7 +1,7 @@
 // perfbench — the repository benchmark's binary.
 //
 //   perfbench --workload im-rmat|sem-rmat|dynamic-mixed --seed N
-//             --seconds S --trace 0|1 [--scale K] [--setup-reps R]
+//             --seconds S --trace 0|1 [--scale K]
 //             [--out-dir DIR] [--commit C] [--source-digest D]
 //             [--corrupt-labels]
 //   perfbench --selftest
@@ -103,7 +103,7 @@ void write_spans(const run_args& a, const stamp& st, const tracer& tr) {
 [[noreturn]] void usage(const std::string& why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload W --seed N "
-               "--seconds S --trace 0|1 [--scale K] [--setup-reps R] "
+               "--seconds S --trace 0|1 [--scale K] "
                "[--out-dir D] [--commit C] [--source-digest D] "
                "[--corrupt-labels] | --selftest\n",
                why.c_str());
@@ -131,8 +131,6 @@ run_args parse(int argc, char** argv) {
         a.trace = std::stoi(v) != 0;
       } else if (k == "--scale") {
         a.scale = static_cast<unsigned>(std::stoul(v));
-      } else if (k == "--setup-reps") {
-        a.setup_reps = static_cast<unsigned>(std::stoul(v));
       } else if (k == "--out-dir") {
         a.out_dir = v;
       } else if (k == "--commit") {
@@ -147,7 +145,6 @@ run_args parse(int argc, char** argv) {
     }
   }
   if (a.seconds <= 0.0) usage("--seconds must be positive");
-  if (a.setup_reps == 0) usage("--setup-reps must be >= 1");
   return a;
 }
 

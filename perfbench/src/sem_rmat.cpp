@@ -91,7 +91,7 @@ workload_result run_sem_rmat(const run_args& a, gate& g, tracer& tr) {
   std::optional<sem_graphs> sem;
   std::unique_ptr<asyncgt::engine> eng;
   std::vector<vertex32> roots;
-  for (unsigned rep = 0; rep < a.setup_reps; ++rep) {
+  for (unsigned rep = 0; rep < setup_reps; ++rep) {
     eng.reset();
     sem.reset();
     mem.reset();
@@ -115,7 +115,6 @@ workload_result run_sem_rmat(const run_args& a, gate& g, tracer& tr) {
     tr.close(setup_span);
     times.setup_s.push_back(seconds_since(t0));
   }
-  if (eng == nullptr) throw std::logic_error("set-up did not run");
   const std::uint64_t spawned_warm = eng->pool().threads_spawned();
 
   const references ref =

@@ -31,7 +31,7 @@ BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 BUILD_ROOT = ROOT / os.environ.get("CARGO_TARGET_DIR", ".bench_build")
 NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
-TINY = ["--scale", "10", "--setup-reps", "1"]
+TINY = ["--scale", "10"]
 
 
 def run(workload, trace, *extra, seconds="1", cwd=ROOT):
