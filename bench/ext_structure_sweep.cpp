@@ -157,7 +157,10 @@ int main(int argc, char** argv) {
     bfs_result<vertex32> plain;
     const double t_plain =
         time_seconds([&] { plain = async_bfs(hg, vertex32{0}, cfg); });
-    // Pure-async inspections: every push traverses exactly one edge.
+    // Pure-async pushes. Each follows one inspected edge, but the visitors'
+    // sender-side label check skips dominated pushes, so this is below the
+    // async run's edge inspections and the 2x gate below is the stricter
+    // comparison. The JSON key keeps its name for compare_bench_json.
     const std::uint64_t plain_inspected = plain.stats.pushes;
 
     traversal_options topt(cfg);
@@ -190,13 +193,13 @@ int main(int argc, char** argv) {
     text_table htable;
     htable.header({"traversal", "edges inspected", "vs async", "switches",
                    "time (s)"});
-    htable.row({"async bfs", fmt_count(plain_inspected), "1.00", "0",
+    htable.row({"async bfs (pushes)", fmt_count(plain_inspected), "1.00", "0",
                 fmt_seconds(t_plain)});
     htable.row({"hybrid bfs", fmt_count(hex.edge_inspections),
                 fmt_ratio(1.0 / ratio), fmt_count(hex.direction_switches),
                 fmt_seconds(t_hyb)});
-    htable.row({"async cc", fmt_count(cc_plain.stats.pushes), "1.00", "0",
-                ""});
+    htable.row({"async cc (pushes)", fmt_count(cc_plain.stats.pushes), "1.00",
+                "0", ""});
     htable.row({"hybrid cc", fmt_count(cex.edge_inspections),
                 fmt_ratio(static_cast<double>(cex.edge_inspections) /
                           std::max<double>(

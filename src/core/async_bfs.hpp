@@ -9,9 +9,16 @@
 // The `Queue` the visitor pushes into is the traversal engine's per-worker
 // handle: each push lands in a thread-local outbox buffer and is delivered
 // to the owner queue in batches of flush_batch (see queue/mailbox.hpp), so
-// the per-edge push here costs no lock and no atomic. Levels and parents
-// for v are only ever written on owner(v)'s thread (exclusivity), batched
-// or not.
+// the per-edge push here costs no lock and no atomic RMW. Levels and
+// parents for v are only ever written on owner(v)'s thread (exclusivity),
+// batched or not.
+//
+// Before each push the sender does a relaxed read of the target's level
+// (load_label) and skips the push when the stored level is already <= the
+// candidate: that visitor would be rejected on arrival. Levels only fall,
+// so a stale read can only let a useless visitor through, never drop one
+// that would have won; final levels are unchanged and visits == pushes
+// still holds.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +58,16 @@ struct bfs_visitor {
 
   template <typename State, typename Queue>
   void visit(State& s, Queue& q, std::size_t tid) const {
-    if (cur_level < s.level[vtx]) {
-      s.level[vtx] = cur_level;
+    if (cur_level < load_label(s.level[vtx])) {
+      store_label(s.level[vtx], cur_level);
       s.parent[vtx] = cur_parent;
       s.updates.add(tid);
       telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
+      const dist_t next = cur_level + 1;
       s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-        q.push(bfs_visitor{vj, vtx, cur_level + 1});
+        if (next < load_label(s.level[vj])) {
+          q.push(bfs_visitor{vj, vtx, next});
+        }
       });
     }
   }

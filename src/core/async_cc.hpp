@@ -9,6 +9,12 @@
 // (§III-C). On completion every vertex holds the smallest vertex id
 // reachable from it, so component roots are exactly { v : cc[v] == v }.
 //
+// Before each push the sender does a relaxed read of the neighbour's id
+// (load_label) and skips the push when it is already <= the candidate. Ids
+// only fall during a run, so a stale read is >= the true id: the skipped
+// visitor could never have relabelled anything, the final ids are
+// unchanged, and visits == pushes still holds. Seeds are not filtered.
+//
 // Precondition: the graph must be symmetric (undirected); otherwise labels
 // propagate only along edge direction and the result is not the undirected
 // CC. graph_stats.hpp's is_symmetric() checks this in tests.
@@ -53,12 +59,14 @@ struct cc_visitor {
 
   template <typename State, typename Queue>
   void visit(State& s, Queue& q, std::size_t tid) const {
-    if (cur_ccid < s.ccid[vtx]) {
-      s.ccid[vtx] = cur_ccid;  // relax vertex information
+    if (cur_ccid < load_label(s.ccid[vtx])) {
+      store_label(s.ccid[vtx], cur_ccid);  // relax vertex information
       s.updates.add(tid);
       telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
       s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-        q.push(cc_visitor{vj, cur_ccid});
+        if (cur_ccid < load_label(s.ccid[vj])) {
+          q.push(cc_visitor{vj, cur_ccid});
+        }
       });
     }
   }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,24 @@ namespace asyncgt {
 
 /// 64-bit path lengths: edge weights are 32-bit but paths sum many of them.
 using dist_t = std::uint64_t;
+
+/// Relaxed access to one label slot (level/dist/ccid) of a running
+/// label-correcting traversal. owner(v) is the only writer of slot v;
+/// senders on other threads read it to skip pushes the target would reject.
+/// Labels only fall during a run, so a stale read returns a value >= the
+/// true label: a skipped push could never have won, and a stale "not
+/// dominated" only costs one wasted visit. Every access during a run goes
+/// through these two calls; set-up and result hand-off stay plain.
+template <typename T>
+T load_label(T& slot) noexcept {
+  static_assert(std::atomic_ref<T>::is_always_lock_free);
+  return std::atomic_ref<T>(slot).load(std::memory_order_relaxed);
+}
+
+template <typename T>
+void store_label(T& slot, T value) noexcept {
+  std::atomic_ref<T>(slot).store(value, std::memory_order_relaxed);
+}
 
 /// Per-thread contention-free counters, summed after the run.
 class sharded_counter {
@@ -41,7 +60,10 @@ class sharded_counter {
 /// the runs maintain anyway:
 ///   wasted_visits          visits whose candidate label lost the race — the
 ///                          price of asynchrony ("possibly requiring
-///                          multiple visits per vertex");
+///                          multiple visits per vertex"). Pushes the
+///                          sender-side label check skipped never become
+///                          visits, so only candidates beaten between push
+///                          and pop count;
 ///   label_corrections      relaxations beyond each vertex's first — the
 ///                          aggregate label-correction depth.
 struct traversal_work {

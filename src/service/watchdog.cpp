@@ -82,9 +82,6 @@ void watchdog::monitor_main() {
       const abort_reason reason = check(e, now);
       if (reason != abort_reason::none) {
         e.fired = true;
-        (reason == abort_reason::deadline_exceeded ? deadline_fires_
-                                                   : stall_fires_)
-            .fetch_add(1, std::memory_order_relaxed);
         fires.emplace_back(e.cancel, reason);
         continue;  // fired entries are swept too
       }
@@ -94,7 +91,15 @@ void watchdog::monitor_main() {
     entries_.resize(w);
     if (!fires.empty()) {
       lk.unlock();
-      for (auto& [fn, reason] : fires) fn(reason);
+      // A fire counts only once its cancel has latched the reason: a caller
+      // that sees the counter move (acquire) also sees the latch, so its own
+      // late cancel cannot win the first-reason race.
+      for (auto& [fn, reason] : fires) {
+        fn(reason);
+        (reason == abort_reason::deadline_exceeded ? deadline_fires_
+                                                   : stall_fires_)
+            .fetch_add(1, std::memory_order_release);
+      }
       lk.lock();
       continue;  // re-sample immediately: stop_ may have flipped meanwhile
     }

@@ -73,12 +73,14 @@ class watchdog {
              std::function<void(abort_reason)> cancel, std::uint32_t deadline_ms,
              std::uint32_t stall_grace_ms);
 
-  /// Lifetime trigger counters (monotone).
+  /// Lifetime trigger counters (monotone). A fire is counted after its
+  /// cancel callback returns, so a non-zero count means the reason is
+  /// already latched.
   std::uint64_t deadline_fires() const noexcept {
-    return deadline_fires_.load(std::memory_order_relaxed);
+    return deadline_fires_.load(std::memory_order_acquire);
   }
   std::uint64_t stall_fires() const noexcept {
-    return stall_fires_.load(std::memory_order_relaxed);
+    return stall_fires_.load(std::memory_order_acquire);
   }
 
   /// Jobs currently on the watch list (for tests/introspection).
