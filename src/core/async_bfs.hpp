@@ -13,11 +13,20 @@
 // parents for v are only ever written on owner(v)'s thread (exclusivity),
 // batched or not.
 //
+// The label is claimed on arrival, not at pop. When owner(v) drains the
+// visitor from its mailbox, pre_visit writes the candidate level and parent
+// if they beat the stored level and otherwise drops the visitor unqueued.
+// So at most one queued visitor holds each claimed level of v, and visit()
+// expands only if its claim is still current (cur_level == level[v]); a
+// claim superseded while queued is skipped at pop. The owner is the only
+// writer, at drain and at visit.
+//
 // Before each push the sender does a relaxed read of the target's level
 // (load_label) and skips the push when the stored level is already <= the
-// candidate: that visitor would be rejected on arrival. Levels only fall,
-// so a stale read can only let a useless visitor through, never drop one
-// that would have won; final levels are unchanged and visits == pushes
+// candidate: that visitor would be rejected on arrival. Because queued
+// candidates are already claimed, the read sees them too. Levels only
+// fall, so a stale read can only let a useless visitor through, never drop
+// one that would have won; final levels are unchanged and visits == pushes
 // still holds.
 #pragma once
 
@@ -56,20 +65,27 @@ struct bfs_visitor {
   VertexId vertex() const noexcept { return vtx; }
   dist_t priority() const noexcept { return cur_level; }
 
-  template <typename State, typename Queue>
-  void visit(State& s, Queue& q, std::size_t tid) const {
+  template <typename State>
+  bool pre_visit(State& s) const {
     if (cur_level < load_label(s.level[vtx])) {
       store_label(s.level[vtx], cur_level);
       s.parent[vtx] = cur_parent;
-      s.updates.add(tid);
-      telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
-      const dist_t next = cur_level + 1;
-      s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-        if (next < load_label(s.level[vj])) {
-          q.push(bfs_visitor{vj, vtx, next});
-        }
-      });
+      return true;
     }
+    return false;
+  }
+
+  template <typename State, typename Queue>
+  void visit(State& s, Queue& q, std::size_t tid) const {
+    if (cur_level != load_label(s.level[vtx])) return;  // superseded claim
+    s.updates.add(tid);
+    telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
+    const dist_t next = cur_level + 1;
+    s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
+      if (next < load_label(s.level[vj])) {
+        q.push(bfs_visitor{vj, vtx, next});
+      }
+    });
   }
 };
 

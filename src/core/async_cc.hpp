@@ -9,11 +9,21 @@
 // (§III-C). On completion every vertex holds the smallest vertex id
 // reachable from it, so component roots are exactly { v : cc[v] == v }.
 //
+// The id is claimed on arrival: when owner(v) drains the visitor from its
+// mailbox, pre_visit writes the candidate id if it is smaller than the
+// stored one and otherwise drops the visitor unqueued. visit() propagates
+// only if its claim is still current (cur_ccid == ccid[v]); a claim
+// superseded while queued is skipped at pop. The owner is the only writer,
+// at drain and at visit.
+//
 // Before each push the sender does a relaxed read of the neighbour's id
-// (load_label) and skips the push when it is already <= the candidate. Ids
-// only fall during a run, so a stale read is >= the true id: the skipped
+// (load_label) and skips the push when it is already <= the candidate;
+// queued candidates are already claimed, so the read sees them. Ids only
+// fall during a run, so a stale read is >= the true id: the skipped
 // visitor could never have relabelled anything, the final ids are
-// unchanged, and visits == pushes still holds. Seeds are not filtered.
+// unchanged, and visits == pushes still holds. Seeds are not filtered at
+// the sender, but a seed whose vertex already holds a smaller id is
+// dropped on arrival.
 //
 // Precondition: the graph must be symmetric (undirected); otherwise labels
 // propagate only along edge direction and the result is not the undirected
@@ -57,18 +67,25 @@ struct cc_visitor {
   VertexId vertex() const noexcept { return vtx; }
   VertexId priority() const noexcept { return cur_ccid; }
 
-  template <typename State, typename Queue>
-  void visit(State& s, Queue& q, std::size_t tid) const {
+  template <typename State>
+  bool pre_visit(State& s) const {
     if (cur_ccid < load_label(s.ccid[vtx])) {
       store_label(s.ccid[vtx], cur_ccid);  // relax vertex information
-      s.updates.add(tid);
-      telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
-      s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
-        if (cur_ccid < load_label(s.ccid[vj])) {
-          q.push(cc_visitor{vj, cur_ccid});
-        }
-      });
+      return true;
     }
+    return false;
+  }
+
+  template <typename State, typename Queue>
+  void visit(State& s, Queue& q, std::size_t tid) const {
+    if (cur_ccid != load_label(s.ccid[vtx])) return;  // superseded claim
+    s.updates.add(tid);
+    telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
+    s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {
+      if (cur_ccid < load_label(s.ccid[vj])) {
+        q.push(cc_visitor{vj, cur_ccid});
+      }
+    });
   }
 };
 

@@ -7,19 +7,28 @@
 // successively shorter candidate paths — exactly the behaviour the paper
 // walks through in Figure 3 (reproduced in tests/core/sssp_paper_example).
 //
-// The visitor is Algorithm 2 plus a sender-side filter:
-//   if cur_dist < dist[v]:
-//     dist[v] = cur_dist; parent[v] = cur_parent            (relax)
-//     for each out-edge (v, vj, w):
-//       if cur_dist + w < dist[vj]:                          (relaxed read)
-//         push visitor(vj, cur_dist + w, v)
-// The filter drops visitors their target would reject on arrival. Distances
-// only fall during a run, so a stale dist[vj] is >= the true one: a skipped
-// visitor could never have won, final distances are unchanged, and every
-// pushed visitor is still visited (visits == pushes).
+// The visitor is Algorithm 2 with the relaxation moved to arrival, plus a
+// sender-side filter:
+//   pre_visit (owner drains it from its mailbox):
+//     if cur_dist < dist[v]:
+//       dist[v] = cur_dist; parent[v] = cur_parent          (claim)
+//     else drop the visitor unqueued
+//   visit (owner pops it):
+//     if cur_dist == dist[v]:                               (claim current)
+//       for each out-edge (v, vj, w):
+//         if cur_dist + w < dist[vj]:                        (relaxed read)
+//           push visitor(vj, cur_dist + w, v)
+// A claim is strict, so each claimed distance of v has exactly one queued
+// visitor, and one superseded while queued is skipped at pop. Claiming on
+// arrival makes queued candidates visible to the senders' filter, which
+// drops visitors their target would reject on arrival. Distances only fall
+// during a run, so a stale dist[vj] is >= the true one: a skipped visitor
+// could never have won, final distances are unchanged, and every pushed
+// visitor is still visited (visits == pushes).
 //
 // Data-race freedom: dist/parent entries for v are written only by the
-// visitor for v, which always executes on the hash-owner thread of v.
+// visitor for v, at drain and at visit, which always execute on the
+// hash-owner thread of v.
 // Other threads only read dist[vj] through load_label (a relaxed
 // std::atomic_ref load, paired with the owner's store_label).
 // The `Queue` parameter of visit() is the engine's per-worker handle: the
@@ -63,20 +72,27 @@ struct sssp_visitor {
   VertexId vertex() const noexcept { return vtx; }
   dist_t priority() const noexcept { return cur_dist; }
 
-  template <typename State, typename Queue>
-  void visit(State& s, Queue& q, std::size_t tid) const {
+  template <typename State>
+  bool pre_visit(State& s) const {
     if (cur_dist < load_label(s.dist[vtx])) {
       store_label(s.dist[vtx], cur_dist);  // relax vertex information
       s.parent[vtx] = cur_parent;
-      s.updates.add(tid);
-      telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
-      s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t w) {
-        const dist_t next = cur_dist + w;
-        if (next < load_label(s.dist[vj])) {
-          q.push(sssp_visitor{vj, vtx, next});
-        }
-      });
+      return true;
     }
+    return false;
+  }
+
+  template <typename State, typename Queue>
+  void visit(State& s, Queue& q, std::size_t tid) const {
+    if (cur_dist != load_label(s.dist[vtx])) return;  // superseded claim
+    s.updates.add(tid);
+    telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
+    s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t w) {
+      const dist_t next = cur_dist + w;
+      if (next < load_label(s.dist[vj])) {
+        q.push(sssp_visitor{vj, vtx, next});
+      }
+    });
   }
 };
 

@@ -7,8 +7,10 @@
 // ever decrease toward the fixed point — so resuming means re-seeding the
 // visitor queue from every already-labelled vertex and letting correction
 // finish the job. No coordination with the crashed run is needed, and a
-// checkpoint taken at ANY moment (even mid-relaxation) resumes to the exact
-// same fixed point.
+// checkpoint taken at ANY moment (even mid-relaxation, or with labels the
+// visitors claimed on arrival but never expanded) resumes to the exact same
+// fixed point, because the resume pushes along every out-edge of every
+// labelled vertex.
 //
 // File format: header (magic, algorithm tag, vertex count) + label array +
 // parent array + CRC-32 of the payload. The CRC turns a torn write from a
@@ -192,10 +194,12 @@ sssp_result<typename Graph::vertex_id> resume_sssp(
 /// (traversal_aborted — e.g. a fatal semi-external I/O error), the partial
 /// label state is saved to `checkpoint_path` as an emergency checkpoint
 /// before the exception propagates. The snapshot is sound at any abort
-/// point: the visitor writes its label BEFORE issuing the adjacency read,
-/// so the start vertex is labelled before the first possible I/O fault, and
-/// monotone label correction makes any partial array resume to the
-/// identical fixed point (resume_bfs above).
+/// point. Labels are claimed on arrival, before the adjacency read, so the
+/// start vertex is labelled before the first possible I/O fault. A vertex
+/// claimed but not yet expanded when the run aborted holds a label whose
+/// out-edges were never relaxed; resume re-relaxes the out-edges of every
+/// labelled vertex, which covers it, and monotone label correction makes
+/// any partial array resume to the identical fixed point (resume_bfs).
 template <typename Graph>
 bfs_result<typename Graph::vertex_id> async_bfs_checkpointed(
     const Graph& g, typename Graph::vertex_id start,

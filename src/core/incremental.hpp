@@ -5,30 +5,35 @@
 // recomputed from scratch. These drivers take the prior labels and the
 // delta batch just applied to the overlay behind an overlay_view and seed
 // the SAME visitors (bfs_visitor / sssp_visitor / cc_visitor, unchanged)
-// through the same batched-outbox mailbox seam:
+// through the same batched-outbox mailbox seam. Those visitors claim
+// labels when their owner drains them, so a seed the current labels
+// already dominate would only be dropped on arrival; the planners skip
+// such seeds (exact, because labels only fall):
 //
 //   * Edge inserts are pure monotone improvements: for each inserted
 //     (u, v, w) with a finite prior label at u, seed visitor{v, u,
-//     label(u) + step} and let relaxation propagate. Nothing is
-//     invalidated.
+//     label(u) + step} when it beats label(v), and let relaxation
+//     propagate. Nothing is invalidated.
 //   * Edge deletes can strand labels. A deleted (u, v) that was v's
 //     shortest-path-tree edge (prior parent[v] == u) invalidates v and,
 //     transitively, the tree cone below it: descending via post-delta
 //     out-edges, x belongs to the cone of v when parent[x] == v and
 //     dist[x] == dist[v] + step — the classic tree-cone test. The cone is
-//     reset to infinity, then re-seeded from its frontier boundary: every
-//     in-edge (a, x) from a finite (outside) vertex a contributes seed
-//     {x, a, dist[a] + step}. Labels outside the cone stay achievable
-//     (their tree paths use no deleted edge, and deletions only lengthen
-//     paths), so monotone relaxation from the boundary plus the insert
-//     seeds converges to exactly the fixed point of the new epoch — the
-//     property the dynamic differential battery asserts bit-for-bit.
+//     reset to infinity, then re-seeded from its frontier boundary: each
+//     cone vertex x gets one seed {x, a, dist[a] + step} from its best
+//     in-edge (a, x) with a finite (outside) source a. Labels outside the
+//     cone stay achievable (their tree paths use no deleted edge, and
+//     deletions only lengthen paths), so monotone relaxation from the
+//     boundary plus the insert seeds converges to exactly the fixed point
+//     of the new epoch — the property the dynamic differential battery
+//     asserts bit-for-bit.
 //   * CC deletes can split a component, which min-label propagation cannot
 //     repair in place (labels would need to rise). Every component touched
 //     by a plausible delete is reset wholesale and re-seeded Algorithm-3
-//     style (each reset vertex with its own id) plus boundary and insert
-//     seeds. The symmetric-batch precondition of CC carries over: deltas
-//     must mutate both directions (delta_batch::insert_undirected).
+//     style: each reset vertex gets one seed, the smaller of its own id
+//     and its surviving neighbours' best id, plus insert seeds. The
+//     symmetric-batch precondition of CC carries over: deltas must mutate
+//     both directions (delta_batch::insert_undirected).
 //
 // Deletes need the reverse view for the boundary scan — PR 7's
 // ensure_reverse / .agt.rev companions; submits throw std::invalid_argument
@@ -149,20 +154,31 @@ repair_plan<VertexId> plan_distance_repair(
 
   repair_plan<VertexId> plan;
   // Boundary reseed: after the reset, a finite in-neighbour is by
-  // definition outside the cone and its label is still achievable.
+  // definition outside the cone and its label is still achievable. Only
+  // the best one is seeded: the visitors claim labels on arrival, so any
+  // other boundary seed of x would be dropped there anyway.
   for (const VertexId x : cone) {
+    dist_t best = infinite_distance<dist_t>;
+    VertexId from = invalid_vertex<VertexId>;
     g.for_each_in_edge(x, [&](VertexId a, weight_t w) {
       if (dist[a] == infinite_distance<dist_t>) return;
       const dist_t step = UnitWeights ? 1 : static_cast<dist_t>(w);
-      plan.seeds.emplace_back(x, a, dist[a] + step);
-      mark[x] |= kSeeded;
+      if (dist[a] + step < best) {
+        best = dist[a] + step;
+        from = a;
+      }
     });
+    if (best == infinite_distance<dist_t>) continue;
+    plan.seeds.emplace_back(x, from, best);
+    mark[x] |= kSeeded;
   }
   // Insert seeds: monotone re-relaxation from each live insert source.
   // Weighted repairs must seed with the pair's LIVE weight, not the
   // batch's listed one: set semantics turn a re-insert of a live pair
   // into a no-op, so a smaller listed weight would seed a distance the
   // actual edge set cannot achieve (and relaxation would happily keep).
+  // A seed that does not beat the target's current label is skipped: it
+  // would be dropped on arrival, because labels only fall.
   for (const auto& e : delta.inserts) {
     if (e.src >= n || e.dst >= n) continue;
     if (dist[e.src] == infinite_distance<dist_t>) continue;
@@ -175,6 +191,7 @@ repair_plan<VertexId> plan_distance_repair(
       if (live == infinite_distance<dist_t>) continue;  // out-of-range guard
       step = live;
     }
+    if (dist[e.src] + step >= dist[e.dst]) continue;
     plan.seeds.emplace_back(e.dst, e.src, dist[e.src] + step);
     mark[e.dst] |= kSeeded | kInsertTouched;
   }
@@ -216,22 +233,25 @@ repair_plan<VertexId> plan_cc_repair(const View& g,
     for (const VertexId x : reset) comp[x] = invalid_vertex<VertexId>;
   }
 
-  // Self seeds (each reset vertex restarts the min-id race with its own
-  // id), then boundary seeds from surviving neighbours. In a symmetric
-  // graph only freshly inserted edges can cross the reset frontier, but
-  // scanning in-edges keeps the repair honest if the prior labels were
-  // stale.
+  // One seed per reset vertex: the smaller of its own id (restarting the
+  // min-id race) and the best id among surviving neighbours. In a
+  // symmetric graph only freshly inserted edges can cross the reset
+  // frontier, but scanning in-edges keeps the repair honest if the prior
+  // labels were stale. Insert seeds that do not beat the target's id are
+  // skipped. Both rules drop only seeds the visitors would drop on arrival.
   for (const VertexId x : reset) {
-    plan.seeds.emplace_back(x, x, 0);
-    mark[x] |= kSeeded;
+    VertexId best = x;
     g.for_each_in_edge(x, [&](VertexId a, weight_t) {
       if (comp[a] == invalid_vertex<VertexId>) return;
-      plan.seeds.emplace_back(x, comp[a], 0);
+      best = std::min(best, comp[a]);
     });
+    plan.seeds.emplace_back(x, best, 0);
+    mark[x] |= kSeeded;
   }
   for (const auto& e : delta.inserts) {
     if (e.src >= n || e.dst >= n) continue;
     if (comp[e.src] == invalid_vertex<VertexId>) continue;
+    if (comp[e.src] >= comp[e.dst]) continue;
     plan.seeds.emplace_back(e.dst, comp[e.src], 0);
     mark[e.dst] |= kSeeded | kInsertTouched;
   }

@@ -58,14 +58,18 @@ class sharded_counter {
 /// Work-proxy metrics shared by the label-correcting traversals. These are
 /// the paper's machine-independent cost measures, all derived from counters
 /// the runs maintain anyway:
+///   updates                expansions: visits whose claimed label was
+///                          still current at pop;
 ///   wasted_visits          visits whose candidate label lost the race — the
 ///                          price of asynchrony ("possibly requiring
-///                          multiple visits per vertex"). Pushes the
-///                          sender-side label check skipped never become
-///                          visits, so only candidates beaten between push
-///                          and pop count;
-///   label_corrections      relaxations beyond each vertex's first — the
-///                          aggregate label-correction depth.
+///                          multiple visits per vertex"): arrivals dropped
+///                          by pre_visit plus claims superseded before pop.
+///                          Pushes the sender-side label check skipped
+///                          never become visits;
+///   label_corrections      expansions beyond one per labelled vertex — the
+///                          aggregate label-correction depth. Saturates at
+///                          zero: a repair job's labelled set includes the
+///                          prior labels it never expanded.
 struct traversal_work {
   std::uint64_t visits = 0;
   std::uint64_t pushes = 0;
@@ -84,6 +88,13 @@ struct traversal_work {
     if (telemetry::metric_scope* sc = telemetry::metric_scope::current()) {
       record_into(sc->deltas(), algo);
     }
+  }
+
+  /// Fills the counters derived from visits, updates and relaxed_vertices.
+  void derive() noexcept {
+    wasted_visits = visits - updates;
+    label_corrections =
+        updates > relaxed_vertices ? updates - relaxed_vertices : 0;
   }
 
   void record_into(telemetry::metrics_registry& reg, const char* algo) const {
@@ -124,8 +135,7 @@ struct bfs_result {
     w.pushes = stats.pushes;
     w.updates = updates;
     w.relaxed_vertices = visited_count();
-    w.wasted_visits = stats.visits - updates;
-    w.label_corrections = updates - w.relaxed_vertices;
+    w.derive();
     return w;
   }
 };
@@ -149,8 +159,7 @@ struct sssp_result {
     w.pushes = stats.pushes;
     w.updates = updates;
     w.relaxed_vertices = visited_count();
-    w.wasted_visits = stats.visits - updates;
-    w.label_corrections = updates - w.relaxed_vertices;
+    w.derive();
     return w;
   }
 };
@@ -188,8 +197,7 @@ struct cc_result {
     // Every vertex is seeded with its own id against an invalid (maximal)
     // initial label, so each one relaxes at least once.
     w.relaxed_vertices = component.size();
-    w.wasted_visits = stats.visits - updates;
-    w.label_corrections = updates - w.relaxed_vertices;
+    w.derive();
     return w;
   }
 };

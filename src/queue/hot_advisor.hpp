@@ -12,7 +12,8 @@
 //                    the SEM implementation bumps the pending count of v's
 //                    adjacency block and may trigger readahead when the
 //                    block crosses the hotness threshold while non-resident.
-//   on_complete(v) — fired once per executed visit; undoes one on_enqueue.
+//   on_complete(v) — fired once per executed visit, or per visitor whose
+//                    pre_visit dropped it on arrival; undoes one on_enqueue.
 //                    At quiescence, total on_enqueue == total on_complete ==
 //                    run visits (the pressure conservation law the tests
 //                    pin).

@@ -16,6 +16,12 @@
 //                       private ordering structure ── try_pop (no lock) ──▶
 //                       visit() ...
 //
+// A visitor that defines `bool pre_visit(State&) const` claims its label on
+// arrival: drain() calls it on the owner lane for each visitor it moves from
+// the slab into the ordering structure, and a visitor that returns false is
+// retired there — counted as a visit and a completion, never queued. Visitors
+// without the hook are queued unconditionally (concept detection below).
+//
 // Compared to the seed's monolith, a visitor crossing threads costs
 // 1/flush_batch mutex acquisitions and 1/flush_batch termination-counter
 // updates instead of one of each, and popping the local best visitor takes
@@ -49,6 +55,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -77,6 +84,13 @@
 #include "util/timer.hpp"
 
 namespace asyncgt::detail {
+
+/// Visitors that claim their label when their owner drains them from the
+/// mailbox (see drain()); false means the arrival is already dominated.
+template <typename Visitor, typename State>
+concept claims_on_arrival = requires(const Visitor& v, State& s) {
+  { v.pre_visit(s) } -> std::convertible_to<bool>;
+};
 
 template <typename Visitor, typename State, typename Ordering>
 class traversal_engine {
@@ -426,15 +440,36 @@ class traversal_engine {
   }
 
   /// Merges freshly delivered visitors into the private ordering structure.
-  bool drain(lane& me, mailbox<Visitor>& inbox) {
+  /// A visitor whose pre_visit rejects the arrival is retired here instead:
+  /// it is counted as a visit and a completion, so visits == pushes and the
+  /// termination and pressure ledgers balance exactly as if it had popped.
+  bool drain(State& state, lane& me, mailbox<Visitor>& inbox) {
     me.scratch.clear();
     if (!inbox.drain(me.scratch)) return false;
-    for (auto& v : me.scratch) me.local.push(std::move(v));
+    for (auto& v : me.scratch) {
+      if constexpr (claims_on_arrival<Visitor, State>) {
+        if (!v.pre_visit(state)) {
+          retire(me, v);
+          continue;
+        }
+      }
+      me.local.push(std::move(v));
+    }
     me.scratch.clear();
     const std::size_t len = me.local.size();
     inbox.local_len.store(len, std::memory_order_relaxed);
     me.max_len = std::max<std::uint64_t>(me.max_len, len);
     return true;
+  }
+
+  /// Books one finished visitor: a visit, a completion deferred to the next
+  /// commit point, and the advisor's matching on_complete.
+  void retire(lane& me, const Visitor& v) {
+    ++me.visits;
+    ++me.completed;
+    if (cfg_.advisor != nullptr) {
+      cfg_.advisor->on_complete(static_cast<std::uint64_t>(v.vertex()));
+    }
   }
 
   /// Commits the deferred completion tally. Precondition: the lane's
@@ -475,7 +510,9 @@ class traversal_engine {
       if (term_.abort_requested()) return;
       // Merge arrivals at batch granularity: one relaxed load per pop, a
       // lock only when a sender actually delivered.
-      if (inbox.has_mail.load(std::memory_order_relaxed)) drain(me, inbox);
+      if (inbox.has_mail.load(std::memory_order_relaxed)) {
+        drain(state, me, inbox);
+      }
       if (me.local.try_pop(v)) {
         inbox.local_len.store(me.local.size(), std::memory_order_relaxed);
         me.cur_vertex = static_cast<std::uint64_t>(v.vertex());
@@ -490,17 +527,13 @@ class traversal_engine {
           v.visit(state, handle, tid);
         }
         me.visiting = false;
-        ++me.visits;
-        ++me.completed;  // decrement deferred to the next commit point
-        if (cfg_.advisor != nullptr) {
-          cfg_.advisor->on_complete(static_cast<std::uint64_t>(v.vertex()));
-        }
+        retire(me, v);
         continue;
       }
       // Local structure empty: drain the inbox; failing that, flush our
       // outboxes (flush-on-idle) and commit the completion tally — the only
       // point where the termination counter can legitimately reach zero.
-      if (drain(me, inbox)) continue;
+      if (drain(state, me, inbox)) continue;
       flush_all(me);
       // Flush/termination checkpoint: the only place a worker reads the
       // global counter anyway, so the frontier estimator samples here —
@@ -513,7 +546,7 @@ class traversal_engine {
         announce_done();
         return;
       }
-      if (drain(me, inbox)) continue;  // self-flush or a racing delivery
+      if (drain(state, me, inbox)) continue;  // self-flush or a racing delivery
       // Park until a sender delivers or the run ends. Outboxes are empty
       // and the tally is committed (flush-before-sleep), so this worker
       // holds no work hostage while asleep.

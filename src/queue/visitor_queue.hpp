@@ -47,6 +47,10 @@
 //   VertexId vertex() const;                  -- routing key
 //   Priority priority() const;                -- smaller visits earlier
 //   void visit(State&, Queue&, tid);          -- may push() more visitors
+//   bool pre_visit(State&) const;             -- optional: runs on the owner
+//                                                when it drains the visitor
+//                                                from its mailbox; false
+//                                                retires it unqueued
 // Visitors must be cheap to move and default-constructible. `Queue` is a
 // template parameter: inside a run it is the engine's per-worker handle
 // (whose push() appends to thread-local outbox buffers), so visitors must

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "baselines/serial_bfs.hpp"
 #include "core/validate.hpp"
 #include "gen/grid.hpp"
@@ -77,20 +81,27 @@ TEST(AsyncBfs, WeightedGraphIgnoresWeights) {
   EXPECT_EQ(r.level[2], 2u);  // hops, not weight sums
 }
 
+// gtest names each case after the raw bytes of its parameter. `tag` fills
+// what would otherwise be uninitialised padding, so every build gives the
+// cases the same names; the values are the ones the names were first
+// recorded with.
 struct BfsSweepParam {
   unsigned scale;
   bool rmat_b_preset;
+  std::array<std::uint8_t, 3> tag;
   std::size_t threads;
 };
+static_assert(std::has_unique_object_representations_v<BfsSweepParam>);
 
 class AsyncBfsSweep : public ::testing::TestWithParam<BfsSweepParam> {};
 
 TEST_P(AsyncBfsSweep, MatchesSerialBfsLevels) {
-  const auto [scale, use_b, nthreads] = GetParam();
-  const rmat_params p = use_b ? rmat_b(scale) : rmat_a(scale);
+  const BfsSweepParam& param = GetParam();
+  const rmat_params p =
+      param.rmat_b_preset ? rmat_b(param.scale) : rmat_a(param.scale);
   const csr32 g = rmat_graph<vertex32>(p);
   const auto ref = serial_bfs(g, vertex32{0});
-  const auto r = async_bfs(g, vertex32{0}, threads(nthreads));
+  const auto r = async_bfs(g, vertex32{0}, threads(param.threads));
   ASSERT_EQ(r.level.size(), ref.level.size());
   for (std::size_t v = 0; v < r.level.size(); ++v) {
     ASSERT_EQ(r.level[v], ref.level[v]) << "vertex " << v;
@@ -103,12 +114,15 @@ TEST_P(AsyncBfsSweep, MatchesSerialBfsLevels) {
 
 INSTANTIATE_TEST_SUITE_P(
     RmatVariants, AsyncBfsSweep,
-    ::testing::Values(BfsSweepParam{8, false, 1}, BfsSweepParam{8, false, 4},
-                      BfsSweepParam{8, false, 32}, BfsSweepParam{8, true, 4},
-                      BfsSweepParam{10, false, 8}, BfsSweepParam{10, true, 8},
-                      BfsSweepParam{10, true, 64},
-                      BfsSweepParam{12, false, 16},
-                      BfsSweepParam{12, true, 16}));
+    ::testing::Values(BfsSweepParam{8, false, {}, 1},
+                      BfsSweepParam{8, false, {0x3B, 0x2C, 0x00}, 4},
+                      BfsSweepParam{8, false, {0x00, 0xD0, 0xEF}, 32},
+                      BfsSweepParam{8, true, {}, 4},
+                      BfsSweepParam{10, false, {}, 8},
+                      BfsSweepParam{10, true, {0x1E, 0x09, 0x00}, 8},
+                      BfsSweepParam{10, true, {0x00, 0xD0, 0xCA}, 64},
+                      BfsSweepParam{12, false, {}, 16},
+                      BfsSweepParam{12, true, {}, 16}));
 
 TEST(AsyncBfs, DeterministicLevelsAcrossRuns) {
   // Visit order is nondeterministic; final labels must not be.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "baselines/serial_cc.hpp"
 #include "core/validate.hpp"
 #include "gen/grid.hpp"
@@ -54,20 +58,27 @@ TEST(AsyncCc, SingleGiantComponent) {
   for (const vertex32 c : r.component) EXPECT_EQ(c, 0u);
 }
 
+// gtest names each case after the raw bytes of its parameter. `tag` fills
+// what would otherwise be uninitialised padding, so every build gives the
+// cases the same names; the values are the ones the names were first
+// recorded with.
 struct CcSweepParam {
   unsigned scale;
   bool rmat_b_preset;
+  std::array<std::uint8_t, 3> tag;
   std::size_t threads;
 };
+static_assert(std::has_unique_object_representations_v<CcSweepParam>);
 
 class AsyncCcSweep : public ::testing::TestWithParam<CcSweepParam> {};
 
 TEST_P(AsyncCcSweep, MatchesSerialCc) {
-  const auto [scale, use_b, nthreads] = GetParam();
-  const rmat_params p = use_b ? rmat_b(scale) : rmat_a(scale);
+  const CcSweepParam& param = GetParam();
+  const rmat_params p =
+      param.rmat_b_preset ? rmat_b(param.scale) : rmat_a(param.scale);
   const csr32 g = rmat_graph_undirected<vertex32>(p);
   const auto ref = serial_cc(g);
-  const auto r = async_cc(g, threads(nthreads));
+  const auto r = async_cc(g, threads(param.threads));
   EXPECT_EQ(r.component, ref.component);
   EXPECT_EQ(r.num_components(), ref.num_components());
   EXPECT_TRUE(validate_components(g, r.component).ok);
@@ -75,11 +86,14 @@ TEST_P(AsyncCcSweep, MatchesSerialCc) {
 
 INSTANTIATE_TEST_SUITE_P(
     RmatVariants, AsyncCcSweep,
-    ::testing::Values(CcSweepParam{8, false, 1}, CcSweepParam{8, false, 8},
-                      CcSweepParam{8, true, 8}, CcSweepParam{10, false, 16},
-                      CcSweepParam{10, true, 16}, CcSweepParam{10, true, 64},
-                      CcSweepParam{12, false, 16},
-                      CcSweepParam{12, true, 16}));
+    ::testing::Values(CcSweepParam{8, false, {0x55, 0x00, 0x00}, 1},
+                      CcSweepParam{8, false, {0x7F, 0x00, 0x00}, 8},
+                      CcSweepParam{8, true, {0x55, 0x00, 0x00}, 8},
+                      CcSweepParam{10, false, {}, 16},
+                      CcSweepParam{10, true, {}, 16},
+                      CcSweepParam{10, true, {}, 64},
+                      CcSweepParam{12, false, {0x55, 0x00, 0x00}, 16},
+                      CcSweepParam{12, true, {0x7F, 0x00, 0x00}, 16}));
 
 TEST(AsyncCc, WebGraphMatchesSerial) {
   webgen_params p;

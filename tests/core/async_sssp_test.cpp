@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "baselines/serial_bfs.hpp"
 #include "baselines/serial_sssp.hpp"
 #include "core/validate.hpp"
@@ -92,21 +96,29 @@ TEST(AsyncSssp, UnweightedGraphBehavesLikeBfs) {
   EXPECT_EQ(sssp.dist, bfs.level);
 }
 
+// gtest names each case after the raw bytes of its parameter. `tag` and
+// `tail` fill what would otherwise be uninitialised padding, so every build
+// gives the cases the same names; the `tag` values are the ones the names
+// were first recorded with.
 struct SsspSweepParam {
   unsigned scale;
   bool rmat_b_preset;
+  std::array<std::uint8_t, 3> tag;
   weight_scheme scheme;
+  std::uint32_t tail;
   std::size_t threads;
 };
+static_assert(std::has_unique_object_representations_v<SsspSweepParam>);
 
 class AsyncSsspSweep : public ::testing::TestWithParam<SsspSweepParam> {};
 
 TEST_P(AsyncSsspSweep, MatchesDijkstra) {
-  const auto [scale, use_b, scheme, nthreads] = GetParam();
-  const rmat_params p = use_b ? rmat_b(scale) : rmat_a(scale);
-  const csr32 g = add_weights(rmat_graph<vertex32>(p), scheme, 99);
+  const SsspSweepParam& param = GetParam();
+  const rmat_params p =
+      param.rmat_b_preset ? rmat_b(param.scale) : rmat_a(param.scale);
+  const csr32 g = add_weights(rmat_graph<vertex32>(p), param.scheme, 99);
   const auto ref = dijkstra_sssp(g, vertex32{0});
-  const auto r = async_sssp(g, vertex32{0}, threads(nthreads));
+  const auto r = async_sssp(g, vertex32{0}, threads(param.threads));
   ASSERT_EQ(r.dist.size(), ref.dist.size());
   for (std::size_t v = 0; v < r.dist.size(); ++v) {
     ASSERT_EQ(r.dist[v], ref.dist[v]) << "vertex " << v;
@@ -118,17 +130,22 @@ TEST_P(AsyncSsspSweep, MatchesDijkstra) {
 INSTANTIATE_TEST_SUITE_P(
     RmatWeightVariants, AsyncSsspSweep,
     ::testing::Values(
-        SsspSweepParam{8, false, weight_scheme::uniform, 1},
-        SsspSweepParam{8, false, weight_scheme::uniform, 8},
-        SsspSweepParam{8, false, weight_scheme::log_uniform, 8},
-        SsspSweepParam{8, true, weight_scheme::uniform, 8},
-        SsspSweepParam{8, true, weight_scheme::log_uniform, 8},
-        SsspSweepParam{10, false, weight_scheme::uniform, 16},
-        SsspSweepParam{10, false, weight_scheme::log_uniform, 16},
-        SsspSweepParam{10, true, weight_scheme::uniform, 64},
-        SsspSweepParam{10, true, weight_scheme::log_uniform, 64},
-        SsspSweepParam{12, false, weight_scheme::uniform, 16},
-        SsspSweepParam{12, true, weight_scheme::log_uniform, 16}));
+        SsspSweepParam{8, false, {}, weight_scheme::uniform, 0, 1},
+        SsspSweepParam{8, false, {}, weight_scheme::uniform, 0, 8},
+        SsspSweepParam{8, false, {}, weight_scheme::log_uniform, 0, 8},
+        SsspSweepParam{8, true, {}, weight_scheme::uniform, 0, 8},
+        SsspSweepParam{8, true, {0x55, 0x00, 0x00}, weight_scheme::log_uniform,
+                       0, 8},
+        SsspSweepParam{10, false, {0xFF, 0xFF, 0xFF}, weight_scheme::uniform,
+                       0, 16},
+        SsspSweepParam{10, false, {}, weight_scheme::log_uniform, 0, 16},
+        SsspSweepParam{10, true, {0x7F, 0x00, 0x00}, weight_scheme::uniform,
+                       0, 64},
+        SsspSweepParam{10, true, {0x55, 0x00, 0x00}, weight_scheme::log_uniform,
+                       0, 64},
+        SsspSweepParam{12, false, {0xFF, 0xFF, 0xFF}, weight_scheme::uniform,
+                       0, 16},
+        SsspSweepParam{12, true, {}, weight_scheme::log_uniform, 0, 16}));
 
 TEST(AsyncSssp, DeterministicDistancesAcrossRuns) {
   const csr32 g =

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <random>
+#include <stdexcept>
+#include <utility>
 
 #include "baselines/serial_bfs.hpp"
 #include "baselines/serial_sssp.hpp"
@@ -34,6 +37,49 @@ visitor_queue_config threads(std::size_t n) {
   cfg.num_threads = n;
   return cfg;
 }
+
+/// csr32 whose adjacency scans fail after `budget` of them — an in-memory
+/// stand-in for a fatal storage error partway through a run. It records
+/// which vertices were expanded, so a test can find the labels the run
+/// claimed on arrival but never expanded. Each vertex is expanded only on
+/// its owner's thread, so the flags need no synchronization.
+class failing_graph {
+ public:
+  using vertex_id = vertex32;
+
+  failing_graph(const csr32& g, std::uint64_t budget)
+      : g_(&g), budget_(budget), expanded_(g.num_vertices(), 0) {}
+
+  std::uint64_t num_vertices() const noexcept { return g_->num_vertices(); }
+  std::uint64_t num_edges() const noexcept { return g_->num_edges(); }
+  std::uint64_t out_degree(vertex32 v) const noexcept {
+    return g_->out_degree(v);
+  }
+
+  template <typename F>
+  void for_each_out_edge(vertex32 v, F&& f) const {
+    if (scans_.fetch_add(1, std::memory_order_relaxed) >= budget_) {
+      throw std::runtime_error("injected storage failure");
+    }
+    expanded_[v] = 1;
+    g_->for_each_out_edge(v, std::forward<F>(f));
+  }
+
+  /// Labelled in `label` but never expanded by the aborted run.
+  std::uint64_t claimed_unexpanded(const std::vector<dist_t>& label) const {
+    std::uint64_t n = 0;
+    for (std::size_t v = 0; v < label.size(); ++v) {
+      n += label[v] != infinite_distance<dist_t> && expanded_[v] == 0;
+    }
+    return n;
+  }
+
+ private:
+  const csr32* g_;
+  std::uint64_t budget_;
+  mutable std::atomic<std::uint64_t> scans_{0};
+  mutable std::vector<std::uint8_t> expanded_;
+};
 
 TEST(Crc32, KnownVectors) {
   // "123456789" -> 0xCBF43926 is the canonical CRC-32 check value.
@@ -188,6 +234,39 @@ TEST_F(CheckpointTest, ResumeWithStaleTooHighLabelsStillConverges) {
   }
   ASSERT_GT(inflated, 0u);
   const auto resumed = resume_sssp(g, cp, threads(8));
+  EXPECT_EQ(resumed.dist, full.dist);
+}
+
+// A real abort, not a simulated one: the visitors claim labels when their
+// owner drains them, so the emergency checkpoint of a run that fails
+// mid-way holds labels whose out-edges were never relaxed. Resume must
+// still land on the serial labels.
+TEST_F(CheckpointTest, EmergencyBfsCheckpointWithClaimedLabelsResumes) {
+  const csr32 g = rmat_graph<vertex32>(rmat_a(11));
+  const auto full = serial_bfs(g, vertex32{0});
+  failing_graph fg(g, 100);
+  EXPECT_THROW(async_bfs_checkpointed(fg, vertex32{0}, path("e.ckpt"),
+                                      threads(4)),
+               traversal_aborted);
+  const auto cp =
+      load_checkpoint<vertex32>(path("e.ckpt"), checkpoint_kind::bfs);
+  ASSERT_GT(fg.claimed_unexpanded(cp.label), 0u);
+  const auto resumed = resume_bfs(g, cp, threads(4));
+  EXPECT_EQ(resumed.level, full.level);
+}
+
+TEST_F(CheckpointTest, EmergencySsspCheckpointWithClaimedLabelsResumes) {
+  const csr32 g =
+      add_weights(rmat_graph<vertex32>(rmat_a(11)), weight_scheme::uniform, 6);
+  const auto full = dijkstra_sssp(g, vertex32{0});
+  failing_graph fg(g, 100);
+  EXPECT_THROW(async_sssp_checkpointed(fg, vertex32{0}, path("es.ckpt"),
+                                       threads(4)),
+               traversal_aborted);
+  const auto cp =
+      load_checkpoint<vertex32>(path("es.ckpt"), checkpoint_kind::sssp);
+  ASSERT_GT(fg.claimed_unexpanded(cp.label), 0u);
+  const auto resumed = resume_sssp(g, cp, threads(4));
   EXPECT_EQ(resumed.dist, full.dist);
 }
 

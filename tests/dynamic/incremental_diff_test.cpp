@@ -377,6 +377,40 @@ TEST(IncrementalDiff, DuplicateInsertAtSmallerWeightStaysExact) {
   check_extra(ex, g.num_vertices());
 }
 
+// Regression: label_corrections = updates - relaxed_vertices wrapped for
+// every repair job, because the labelled set includes the prior labels the
+// repair never expands. It must saturate, in the result and the counters.
+TEST(IncrementalDiff, RepairLabelCorrectionsNeverExceedUpdates) {
+  auto g = rmat_graph_undirected<vertex32>(rmat_a(12, 4));
+  delta_overlay<csr_graph<vertex32>> ov(g);
+  telemetry::metrics_registry reg;
+  const traversal_options opts = cfg().with_metrics(&reg);
+  auto bfs_prior = async_bfs(ov.snapshot(), vertex32{0}, opts);
+  auto sssp_prior = async_sssp(ov.snapshot(), vertex32{0}, opts);
+  auto cc_prior = async_cc(ov.snapshot(), opts);
+  delta_batch<vertex32> d;
+  const auto n = static_cast<vertex32>(g.num_vertices());
+  for (vertex32 i = 0; i < 50; ++i) {
+    d.insert_undirected((i * 7919u) % n, (i * 104729u + 1) % n);
+  }
+  ov.apply(d);
+  const auto view = ov.snapshot();
+  const auto bfs =
+      incremental_bfs(view, d, std::move(bfs_prior), nullptr, opts);
+  const auto sssp =
+      incremental_sssp(view, d, std::move(sssp_prior), nullptr, opts);
+  const auto cc = incremental_cc(view, d, std::move(cc_prior), nullptr, opts);
+  for (const traversal_work& w : {bfs.work(), sssp.work(), cc.work()}) {
+    EXPECT_LE(w.label_corrections, w.updates);
+  }
+  for (const std::string algo :
+       {"incremental_bfs", "incremental_sssp", "incremental_cc"}) {
+    SCOPED_TRACE(algo);
+    EXPECT_LE(reg.get_counter(algo + ".label_corrections").total(),
+              reg.get_counter(algo + ".updates").total());
+  }
+}
+
 TEST(IncrementalDiff, JobStatsCarryDeltaEpoch) {
   auto g = rmat_graph<vertex32>(rmat_a(6, 3));
   g.ensure_reverse();

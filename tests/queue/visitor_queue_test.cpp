@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "queue/hot_advisor.hpp"
 #include "util/cache_line.hpp"
 
 namespace asyncgt {
@@ -83,6 +85,64 @@ struct vertex_order_visitor {
   void visit(State& s, Queue&, std::size_t) const {
     s.order.push_back(vtx);
   }
+};
+
+// Visitor with an arrival gate: pre_visit runs on the owner when it drains
+// the visitor from its mailbox and rejects every vertex v with v % 5 == 4.
+// A rejected visitor must never reach visit(), so its subtree of the
+// implicit binary tree is never pushed. The per-vertex tallies are written
+// only on the owner's thread, like an algorithm's labels.
+struct gate_state {
+  std::uint64_t n = 0;
+  std::vector<std::uint32_t> arrivals;  // pre_visit calls per vertex
+  std::vector<std::uint32_t> visits;    // visit calls per vertex
+  explicit gate_state(std::uint64_t size)
+      : n(size), arrivals(size, 0), visits(size, 0) {}
+};
+
+struct gate_visitor {
+  std::uint32_t vtx{};
+  std::uint32_t depth{};
+
+  static bool admits(std::uint64_t v) { return v % 5 != 4; }
+
+  std::uint32_t vertex() const noexcept { return vtx; }
+  std::uint32_t priority() const noexcept { return depth; }
+
+  template <typename State>
+  bool pre_visit(State& s) const {
+    ++s.arrivals[vtx];
+    return admits(vtx);
+  }
+
+  template <typename State, typename Queue>
+  void visit(State& s, Queue& q, std::size_t) const {
+    ++s.visits[vtx];
+    for (const std::uint64_t child : {2ULL * vtx + 1, 2ULL * vtx + 2}) {
+      if (child < s.n) {
+        q.push(gate_visitor{static_cast<std::uint32_t>(child), depth + 1});
+      }
+    }
+  }
+};
+
+/// Advisor tracking the pending pressure (enqueues minus completions).
+class pressure_advisor final : public hot_advisor {
+ public:
+  bool is_hot(std::uint64_t vertex) const noexcept override {
+    return vertex % 2 == 0;
+  }
+  void on_enqueue(std::uint64_t) noexcept override {
+    enqueues.fetch_add(1, std::memory_order_relaxed);
+    pending.fetch_add(1, std::memory_order_relaxed);
+  }
+  void on_complete(std::uint64_t) noexcept override {
+    pending.fetch_sub(1, std::memory_order_relaxed);
+  }
+  void reset() noexcept override { pending.store(0); }
+
+  std::atomic<std::uint64_t> enqueues{0};
+  std::atomic<std::int64_t> pending{0};
 };
 
 std::uint64_t total_visits(const tree_state& s) {
@@ -331,6 +391,69 @@ TEST(VisitorQueue, LoadImbalanceCvDegenerateCases) {
   queue_run_stats all_zero;
   all_zero.visits_per_queue = {0, 0, 0};
   EXPECT_EQ(all_zero.load_imbalance_cv(), 0.0);
+}
+
+TEST(VisitorQueue, PreVisitRejectsArrivalsUnderEveryOrder) {
+  constexpr std::uint64_t kN = 4096;
+  // Serial model: a vertex arrives iff its parent was visited, and is
+  // visited iff it arrived and the gate admits it.
+  std::vector<std::uint32_t> arrived(kN, 0);
+  std::vector<std::uint32_t> visited(kN, 0);
+  arrived[0] = 1;
+  std::uint64_t arrivals = 0;
+  std::uint64_t rejected = 0;
+  for (std::uint64_t v = 0; v < kN; ++v) {
+    if (arrived[v] == 0) continue;
+    ++arrivals;
+    if (!gate_visitor::admits(v)) {
+      ++rejected;
+      continue;
+    }
+    visited[v] = 1;
+    if (2 * v + 1 < kN) arrived[2 * v + 1] = 1;
+    if (2 * v + 2 < kN) arrived[2 * v + 2] = 1;
+  }
+  ASSERT_GT(rejected, 0u);
+  for (const queue_order ord : {queue_order::priority, queue_order::fifo,
+                                queue_order::lifo, queue_order::hot}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("order=" + std::to_string(static_cast<int>(ord)) +
+                   " threads=" + std::to_string(threads));
+      pressure_advisor advisor;
+      visitor_queue_config cfg = cfg_with(threads, ord);
+      cfg.advisor = &advisor;
+      gate_state state(kN);
+      visitor_queue<gate_visitor, gate_state> q(cfg);
+      q.push(gate_visitor{0, 0});
+      const auto stats = q.run(state);
+      EXPECT_EQ(state.arrivals, arrived);
+      EXPECT_EQ(state.visits, visited);  // rejected never reach visit()
+      // A rejected arrival still counts as a visit and a completion.
+      EXPECT_EQ(stats.visits, stats.pushes);
+      EXPECT_EQ(stats.pushes, arrivals);
+      EXPECT_EQ(advisor.enqueues.load(), stats.visits);
+      EXPECT_EQ(advisor.pending.load(), 0);
+      EXPECT_EQ(q.pending(), 0);
+    }
+  }
+}
+
+TEST(VisitorQueue, PreVisitGatesSeededVisitors) {
+  constexpr std::uint64_t kN = 10000;
+  for (const std::size_t threads : {1u, 4u}) {
+    // n = 0 keeps visit() from pushing children: only the seeds run.
+    gate_state state(kN);
+    state.n = 0;
+    visitor_queue<gate_visitor, gate_state> q(cfg_with(threads));
+    const auto stats = q.run_seeded(state, kN, [](std::uint32_t v) {
+      return gate_visitor{v, 0};
+    });
+    EXPECT_EQ(stats.visits, kN);
+    for (std::uint64_t v = 0; v < kN; ++v) {
+      ASSERT_EQ(state.arrivals[v], 1u) << v;
+      ASSERT_EQ(state.visits[v], gate_visitor::admits(v) ? 1u : 0u) << v;
+    }
+  }
 }
 
 }  // namespace
