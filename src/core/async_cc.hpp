@@ -76,9 +76,17 @@ struct cc_visitor {
     return false;
   }
 
+  /// Whether this visitor still holds v's current claim; a superseded
+  /// claim's visit expands nothing. The engine asks before it books the
+  /// device read of a semi-external expansion.
+  template <typename State>
+  bool live(State& s) const {
+    return cur_ccid == load_label(s.ccid[vtx]);
+  }
+
   template <typename State, typename Queue>
   void visit(State& s, Queue& q, std::size_t tid) const {
-    if (cur_ccid != load_label(s.ccid[vtx])) return;  // superseded claim
+    if (!live(s)) return;  // superseded claim
     s.updates.add(tid);
     telemetry::metric_scope::count_edges(s.g->out_degree(vtx));
     s.g->for_each_out_edge(vtx, [&](VertexId vj, weight_t) {

@@ -9,7 +9,9 @@
 // adjacency access pread()s the O(E) target (and weight) sections of the
 // .agt file written by graph_io. Reads are charged to an attached ssd_model,
 // which blocks the calling thread for the simulated device latency — this is
-// where thread oversubscription converts into I/O concurrency.
+// where thread oversubscription converts into I/O concurrency. A caller can
+// instead book the charge ahead (charge_ahead) and keep several reads in
+// flight from one thread; the traversal engine's lanes do.
 //
 // The class models the same GraphStorage concept as csr_graph, so async_bfs
 // / async_sssp / async_cc instantiate over it unchanged.
@@ -26,6 +28,7 @@
 // for_each_in_edge(v, f) exactly like csr_graph.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -290,7 +293,9 @@ class sem_csr {
 
   /// Reads the adjacency list of v from disk and invokes f(target, weight)
   /// per edge. One random read for targets plus, on weighted graphs, one for
-  /// weights; the thread blocks for the simulated device time of each.
+  /// weights; the thread blocks for the simulated device time of each —
+  /// unless this thread booked them already through charge_ahead(v), in
+  /// which case the blocks are neither probed nor charged again.
   template <typename F>
   void for_each_out_edge(VertexId v, F&& f) const {
     const std::uint64_t begin = offsets_[v];
@@ -303,15 +308,17 @@ class sem_csr {
     targets.resize(degree);
     const std::uint64_t tbytes = degree * sizeof(VertexId);
     const std::uint64_t tpos = targets_pos_ + begin * sizeof(VertexId);
+    const std::uint64_t wbytes = degree * sizeof(weight_t);
+    const std::uint64_t wpos = weights_pos_ + begin * sizeof(weight_t);
     // Device/cache charging stays per logical request regardless of how the
     // backend batches the host reads, so simulated-device accounting is
     // identical across backends.
-    charge_device(tpos, tbytes);
+    if (!take_ahead_mark(v)) {
+      charge_device(tpos, tbytes);
+      if (header_.weighted()) charge_device(wpos, wbytes);
+    }
     if (header_.weighted()) {
       weights.resize(degree);
-      const std::uint64_t wbytes = degree * sizeof(weight_t);
-      const std::uint64_t wpos = weights_pos_ + begin * sizeof(weight_t);
-      charge_device(wpos, wbytes);
       backend_->enqueue({tpos, tbytes, targets.data(), 0});
       backend_->enqueue({wpos, wbytes, weights.data(), 1});
       backend_->flush();
@@ -320,6 +327,68 @@ class sem_csr {
       backend_->read({tpos, tbytes, targets.data(), 0});
       for (std::uint64_t i = 0; i < degree; ++i) f(targets[i], weight_t{1});
     }
+  }
+
+  // ---- Charge-ahead: several device reads in flight from one thread ----
+
+  /// A device charge booked ahead of an expansion: when v's adjacency is in
+  /// memory on the simulated clock, and how many device reads the booking
+  /// issued (0 when every block hit the cache, or when an earlier booking
+  /// of the same adjacency is still unexpanded on this thread). The caller
+  /// waits until `ready`, then hands the ticket back to end_charge.
+  struct charge_ticket {
+    ssd_model::clock::time_point ready{};
+    std::uint32_t reads = 0;
+  };
+
+  /// Probes the cache for v's targets (and, on weighted graphs, weights)
+  /// range and issues the device reads for the blocks that miss, without
+  /// waiting for them. The calling thread's next for_each_out_edge(v) then
+  /// skips the probe and the charge, so each expansion is still probed and
+  /// charged exactly once. Host reads are unaffected: they happen in
+  /// for_each_out_edge as always.
+  charge_ticket charge_ahead(VertexId v) const {
+    const std::uint64_t begin = offsets_[v];
+    const std::uint64_t degree = offsets_[v + 1] - begin;
+    if (degree == 0) return {};
+    std::vector<ahead_mark>& marks = ahead_marks();
+    for (const ahead_mark& m : marks) {
+      if (m.graph == this && m.v == v) return {m.ready, 0};
+    }
+    charge_ticket t;
+    const auto issue = [&](std::uint64_t pos, std::uint64_t bytes) {
+      const std::uint64_t missing = probe(pos, bytes);
+      if (device_ == nullptr || missing == 0) return;
+      t.ready = std::max(t.ready, device_->begin_read(missing));
+      ++t.reads;
+    };
+    issue(targets_pos_ + begin * sizeof(VertexId), degree * sizeof(VertexId));
+    if (header_.weighted()) {
+      issue(weights_pos_ + begin * sizeof(weight_t),
+            degree * sizeof(weight_t));
+    }
+    marks.push_back({this, v, t.ready});
+    return t;
+  }
+
+  /// Retires the device reads a charge_ahead ticket issued. Call once the
+  /// ticket is ready, or when giving it up.
+  void end_charge(const charge_ticket& t) const noexcept {
+    for (std::uint32_t i = 0; i < t.reads; ++i) device_->end_read();
+  }
+
+  /// Forgets this thread's unexpanded charge_ahead bookings on this graph,
+  /// for a caller that abandons them (an aborted traversal lane).
+  void drop_charge_marks() const noexcept {
+    std::vector<ahead_mark>& marks = ahead_marks();
+    std::erase_if(marks,
+                  [this](const ahead_mark& m) { return m.graph == this; });
+  }
+
+  /// The attached device's channel count, 0 without a device: how many
+  /// reads are worth keeping in flight through charge_ahead.
+  std::uint32_t io_channels() const noexcept {
+    return device_ != nullptr ? device_->params().channels : 0;
   }
 
   /// In-memory bytes held by this storage: the vertex index only — the
@@ -347,47 +416,65 @@ class sem_csr {
   }
 
  private:
-  /// Charges the device for the blocks of [pos, pos+bytes) that miss the
-  /// simulated page cache (all of them when no cache is attached). Heat
+  /// Probes the simulated page cache for the blocks of [pos, pos+bytes)
+  /// and returns the bytes to charge the device: the missing blocks, all of
+  /// them when no cache is attached, 0 when nothing would be charged. Heat
   /// recording rides the cache's own probe when a cache is attached (the
   /// probe that decides the charge is the probe that is recorded — the
   /// cache_policy seam, block_cache::set_block_heat — so heat misses agree
   /// exactly with the cache's miss counters); with heat but no cache, every
   /// touch records as a miss here, matching the full charge.
-  void charge_device(std::uint64_t pos, std::uint64_t bytes) const {
-    if (heat_ == nullptr) {
-      // No-heat fast path, bit-identical to the original accounting (in
-      // particular: no device means no cache probes at all).
-      if (device_ == nullptr) return;
-      if (cache_ == nullptr) {
-        device_->read(bytes);
-        return;
-      }
-      const std::uint64_t bs = device_->params().block_bytes;
-      const std::uint64_t first = block_index_of(pos, bs);
-      const std::uint64_t last = block_index_of_last(pos, bytes, bs);
-      std::uint64_t missing = 0;
-      for (std::uint64_t b = first; b <= last; ++b) {
-        missing += cache_->access(b) ? 0 : 1;
-      }
-      if (missing > 0) device_->read(missing * bs);
-      return;
-    }
+  std::uint64_t probe(std::uint64_t pos, std::uint64_t bytes) const {
+    // Without heat, no device means no cache probes at all.
+    if (heat_ == nullptr && device_ == nullptr) return 0;
     const std::uint64_t bs = charge_block_bytes();
     const std::uint64_t first = block_index_of(pos, bs);
     const std::uint64_t last = block_index_of_last(pos, bytes, bs);
     if (cache_ == nullptr) {
-      for (std::uint64_t b = first; b <= last; ++b) heat_->record(b, true);
-      // Match the cache-less fast path's charge (raw bytes, not whole
-      // blocks) so attaching heat never changes simulated-device time.
-      if (device_ != nullptr) device_->read(bytes);
-      return;
+      if (heat_ != nullptr) {
+        for (std::uint64_t b = first; b <= last; ++b) heat_->record(b, true);
+      }
+      // Raw bytes, not whole blocks: attaching heat never changes
+      // simulated-device time.
+      return bytes;
     }
     std::uint64_t missing = 0;
     for (std::uint64_t b = first; b <= last; ++b) {
       missing += cache_->access(b) ? 0 : 1;  // the cache records heat
     }
-    if (device_ != nullptr && missing > 0) device_->read(missing * bs);
+    return missing * bs;
+  }
+
+  /// Blocking charge: probe, then sleep for the missing bytes' device time.
+  void charge_device(std::uint64_t pos, std::uint64_t bytes) const {
+    const std::uint64_t missing = probe(pos, bytes);
+    if (device_ != nullptr && missing > 0) device_->read(missing);
+  }
+
+  /// A charge_ahead booking not yet consumed by for_each_out_edge. Kept
+  /// per thread, so only the booking thread's expansion skips the charge.
+  struct ahead_mark {
+    const sem_csr* graph;
+    VertexId v;
+    ssd_model::clock::time_point ready;
+  };
+
+  static std::vector<ahead_mark>& ahead_marks() noexcept {
+    thread_local std::vector<ahead_mark> marks;
+    return marks;
+  }
+
+  /// Consumes this thread's charge_ahead mark for v, if any.
+  bool take_ahead_mark(VertexId v) const noexcept {
+    std::vector<ahead_mark>& marks = ahead_marks();
+    for (std::size_t i = 0; i < marks.size(); ++i) {
+      if (marks[i].graph == this && marks[i].v == v) {
+        marks[i] = marks.back();
+        marks.pop_back();
+        return true;
+      }
+    }
+    return false;
   }
 
   edge_file file_;

@@ -20,6 +20,11 @@
 // (cheaper) sequential transfer per additional block, and writes pay a
 // configurable multiple of the read latency (flash write asymmetry, §II-D).
 //
+// A requester can also keep several reads outstanding without a thread per
+// read: begin_read books the slot and returns the deadline, and the caller
+// sleeps until it on its own schedule, then calls end_read. This is how one
+// traversal lane keeps several channels busy (sem_csr::charge_ahead).
+//
 // `time_scale` shrinks all latencies by a constant factor so the benches
 // finish quickly on small graphs; every ratio the experiments report
 // (device A vs device B, SEM vs in-memory baseline measured on the same
@@ -65,14 +70,29 @@ struct ssd_counters {
 
 class ssd_model {
  public:
+  using clock = std::chrono::steady_clock;
+
   explicit ssd_model(ssd_params params);
 
   ssd_model(const ssd_model&) = delete;
   ssd_model& operator=(const ssd_model&) = delete;
 
   /// Blocks the calling thread for the simulated duration of a random read
-  /// of `bytes` bytes. Call around (or instead of) the real pread.
+  /// of `bytes` bytes. Call around (or instead of) the real pread. Same as
+  /// begin_read, sleep until the returned deadline, end_read.
   void read(std::uint64_t bytes);
+
+  /// Issues a random read of `bytes` bytes without waiting for it: reserves
+  /// its channel slot, counts it in flight and books the read counters.
+  /// Returns the time at which the read completes. Every begin_read must be
+  /// matched by one end_read, once the caller has waited for the deadline
+  /// or given the read up.
+  clock::time_point begin_read(std::uint64_t bytes);
+
+  /// Retires one read issued by begin_read from the in-flight count.
+  void end_read() noexcept {
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+  }
 
   /// Simulated write (used by the on-disk graph builder accounting).
   void write(std::uint64_t bytes);
@@ -81,22 +101,22 @@ class ssd_model {
   ssd_counters counters() const;
   void reset_counters();
 
-  /// Requests currently queued or in service — the simulated device queue
-  /// depth. The telemetry sampler plots this to show whether thread
-  /// oversubscription actually keeps the device saturated (paper Fig. 1).
+  /// Requests currently queued or in service (issued and not yet ended) —
+  /// the simulated device queue depth. The telemetry sampler plots this to
+  /// show whether the outstanding requests keep the device saturated
+  /// (paper Fig. 1).
   std::uint64_t inflight() const noexcept {
     return inflight_.load(std::memory_order_relaxed);
   }
 
  private:
-  using clock = std::chrono::steady_clock;
-
   struct channel {
     std::mutex mu;
     clock::time_point free_at{};
   };
 
-  clock::time_point reserve(double service_us);
+  /// Books one request: in-flight count, channel slot and counters.
+  clock::time_point issue(std::uint64_t bytes, bool is_write);
 
   ssd_params params_;
   std::vector<std::unique_ptr<channel>> channels_;

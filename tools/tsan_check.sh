@@ -21,7 +21,10 @@
 # sem_config bundle wiring, and the prefetch lane racing demand reads —
 # docs/hot_blocks.md), and the dynamic-graph battery (delta batches
 # applied while pinned readers iterate and async jobs run over old
-# epochs, plus the incremental-vs-recompute stream — docs/dynamic_graphs.md).
+# epochs, plus the incremental-vs-recompute stream — docs/dynamic_graphs.md),
+# and the reads-ahead battery (SemPipeline: each lane's pending set and its
+# per-thread charge-ahead bookings, with aborts ending reads in flight —
+# docs/visitor_queue.md).
 # Wraps the `tsan` presets in CMakePresets.json so CI and humans run the
 # identical configuration:
 #
