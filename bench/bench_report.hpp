@@ -46,8 +46,6 @@
 #include "queue/visitor_queue.hpp"
 #include "sem/block_cache.hpp"
 #include "sem/block_heat.hpp"
-#include "sem/block_pressure.hpp"
-#include "sem/prefetcher.hpp"
 #include "sem/ssd_model.hpp"
 #include "service/engine.hpp"
 #include "service/job_stats.hpp"
@@ -70,7 +68,6 @@ inline json_value to_json(const queue_run_stats& s) {
   out.set("pushes", s.pushes);
   out.set("flushes", s.flushes);
   out.set("wakeups", s.wakeups);
-  out.set("hot_pops", s.hot_pops);
   out.set("max_queue_length", s.max_queue_length);
   out.set("elapsed_seconds", s.elapsed_seconds);
   out.set("imbalance_cv", s.load_imbalance_cv());
@@ -86,37 +83,6 @@ inline json_value to_json(const sem::cache_counters& c) {
   out.set("misses", c.misses);
   out.set("evictions", c.evictions);
   out.set("hit_rate", c.hit_rate());
-  out.set("policy_rejects", c.policy_rejects);
-  out.set("prefetch_installs", c.prefetch_installs);
-  out.set("prefetch_wasted", c.prefetch_wasted);
-  return out;
-}
-
-/// Pending-visitor pressure totals -> the "pressure" block of the sem
-/// section (check_bench_json validates increments >= decrements and the
-/// pending consistency).
-inline json_value to_json(const sem::block_pressure& p) {
-  json_value out = json_value::object();
-  out.set("block_bytes", p.block_bytes());
-  out.set("num_blocks", p.num_blocks());
-  out.set("increments", p.total_increments());
-  out.set("decrements", p.total_decrements());
-  out.set("pending", p.total_pending());
-  out.set("out_of_range", p.out_of_range());
-  return out;
-}
-
-/// Readahead-lane counters -> the "prefetch" block of the sem section
-/// (issued/wasted are the docs/observability.md metrics; wasted lives on
-/// the cache side, where evictions of un-hit installs are observed).
-inline json_value to_json(const sem::prefetcher::counters& c,
-                          const sem::cache_counters& cache) {
-  json_value out = json_value::object();
-  out.set("requested", c.requested);
-  out.set("issued", c.issued);
-  out.set("dropped", c.dropped);
-  out.set("stale", c.stale);
-  out.set("wasted", cache.prefetch_wasted);
   return out;
 }
 

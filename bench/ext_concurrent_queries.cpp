@@ -152,8 +152,6 @@ int main(int argc, char** argv) {
   sem::ssd_model dev(params);
   // Job-scoped observability around the shared graph: one io_recorder and
   // one block_heat for every job; per-job slices come from metric_scope.
-  // The builder also carries the hot-block knobs, so --ordering=hot /
-  // --cache-policy=pressure / --prefetch-hot apply to the shared graph.
   telemetry::io_recorder rec;
   sem::sem_config scfg = sem::sem_config::from_options(topt, path);
   scfg.with_device(&dev).with_heat().with_io_recorder(&rec);
@@ -163,7 +161,6 @@ int main(int argc, char** argv) {
     scfg.with_cache_blocks(1);
   }
   auto bundle = scfg.open<vertex32>();
-  bundle.wire_queue(topt.queue);
   sem::sem_csr32& sg = *bundle.graph;
   sem::block_cache& cache = *bundle.cache;
   sem::block_heat& heat = *bundle.heat;

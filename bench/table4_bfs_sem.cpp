@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
         // One builder per device row: backend (--io-backend routes every
         // adjacency read, docs/io_backends.md — labels must stay identical
         // to the sync default, so the per-run correctness check doubles as
-        // the backend acceptance test), cache + policy, retries, and the
-        // hot-block knobs all arrive through the shared parser.
+        // the backend acceptance test), cache and retries all arrive
+        // through the shared parser.
         sem::sem_config scfg = sem::sem_config::from_options(topt, path);
         scfg.with_device(&dev).with_cache_fraction(cache_fraction);
         if (injector != nullptr) {
@@ -146,12 +146,10 @@ int main(int argc, char** argv) {
         sem::sem_csr32& sg = *bundle.graph;
 
         visitor_queue_config cfg = topt.queue;
-        bundle.wire_queue(cfg);
         rep.attach(cfg);
         bfs_result<vertex32> sem_r;
         const double t_sem =
             time_seconds([&] { sem_r = async_bfs(sg, start, cfg); });
-        if (bundle.prefetch != nullptr) bundle.prefetch->drain();
         if (sem_r.level != im_r.level) {
           ok &= shape_check(false, "SEM BFS matches in-memory BFS");
         }
@@ -172,7 +170,6 @@ int main(int argc, char** argv) {
           sem::sem_config scfg1 = scfg;
           auto bundle1 = scfg1.with_device(&dev1).open<vertex32>();
           visitor_queue_config cfg1 = cfg;
-          bundle1.wire_queue(cfg1);
           cfg1.num_threads = 1;
           t_sem1 = time_seconds([&] { async_bfs(*bundle1.graph, start, cfg1); });
           overs_gain.push_back(t_sem1 / t_sem);

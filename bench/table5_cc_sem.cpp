@@ -123,11 +123,9 @@ int main(int argc, char** argv) {
       sem::sem_csr32& sg = *bundle.graph;
 
       visitor_queue_config cfg = topt.queue;
-      bundle.wire_queue(cfg);
       rep.attach(cfg);
       cc_result<vertex32> sem_r;
       const double t_sem = time_seconds([&] { sem_r = async_cc(sg, cfg); });
-      if (bundle.prefetch != nullptr) bundle.prefetch->drain();
       if (sem_r.component != im_r.component) {
         ok &= shape_check(false, w.name + ": SEM CC matches in-memory CC");
       }

@@ -61,14 +61,10 @@
 #include "sem/block_cache.hpp"
 #include "sem/block_heat.hpp"
 #include "sem/block_index.hpp"
-#include "sem/block_pressure.hpp"
-#include "sem/cache_policy.hpp"
 #include "sem/ext_sorter.hpp"
 #include "sem/fault_injector.hpp"
-#include "sem/hot_advisor.hpp"
 #include "sem/io_error.hpp"
 #include "sem/ooc_builder.hpp"
-#include "sem/prefetcher.hpp"
 #include "sem/sem_compaction.hpp"
 #include "sem/sem_config.hpp"
 #include "sem/sem_csr.hpp"

@@ -19,19 +19,10 @@
 //                    ablation baseline.
 //   lifo_order     — reverse arrival order; degrades multiplicatively on
 //                    label-correcting traversals (ablation worst case).
-//   hot_order      — two priority bands: visitors whose adjacency block is
-//                    cache-resident or pressure-hot (per the config's
-//                    hot_advisor) pop before everything else; within each
-//                    band the paper's priority+semi-sort order applies.
-//                    Replaces the static vertex-id locality key with the
-//                    live pending-visitor signal (docs/hot_blocks.md).
 //
 // All policies move visitors in on push and move them out on try_pop, are
 // default-constructible (the engine value-initializes its worker array in
 // place, mutexes and all), and are configured once before the first push.
-// Each also exposes take_hot_pops() — the count of pops served from the hot
-// band since last taken — so the engine can fold it into queue_run_stats
-// without detecting which policy it holds (always 0 outside hot_order).
 #pragma once
 
 #include <cstddef>
@@ -41,7 +32,6 @@
 #include <vector>
 
 #include "queue/dary_heap.hpp"
-#include "queue/hot_advisor.hpp"
 #include "queue/queue_config.hpp"
 
 namespace asyncgt {
@@ -87,9 +77,6 @@ class priority_order {
   /// Discards all queued visitors (post-abort engine reset).
   void clear() noexcept { heap_.clear(); }
 
-  /// No hot band here; see hot_order.
-  std::uint64_t take_hot_pops() noexcept { return 0; }
-
  private:
   visitor_priority_less<Visitor> less_;
   // Holds a reference to less_, so the policy is pinned in place (the
@@ -123,9 +110,6 @@ class fifo_order {
   /// Discards all queued visitors (post-abort engine reset).
   void clear() noexcept { q_.clear(); }
 
-  /// No hot band here; see hot_order.
-  std::uint64_t take_hot_pops() noexcept { return 0; }
-
  private:
   std::deque<Visitor> q_;
 };
@@ -158,92 +142,8 @@ class lifo_order {
   /// Discards all queued visitors (post-abort engine reset).
   void clear() noexcept { q_.clear(); }
 
-  /// No hot band here; see hot_order.
-  std::uint64_t take_hot_pops() noexcept { return 0; }
-
  private:
   std::vector<Visitor> q_;
-};
-
-/// Two-band priority order driven by the live hot-block signal. push()
-/// classifies the visitor once — hot band if the advisor says its backing
-/// block is cache-resident or has enough queued work, cold band otherwise —
-/// and try_pop serves the hot band first. Within each band the ordering is
-/// exactly priority_order's (priority, then the optional semi-sort vertex
-/// tie-break), so with a null advisor this IS priority_order with one extra
-/// empty heap.
-///
-/// Classification is deliberately push-time-only: a visitor does not migrate
-/// when its block's residency changes later. Reclassifying would mean
-/// rebuilding heaps on every cache event; the signal is a heuristic and
-/// label correction keeps final labels pop-order-invariant, so staleness
-/// costs a little I/O-ordering quality and nothing else.
-template <typename Visitor>
-class hot_order {
- public:
-  hot_order() = default;
-  hot_order(const hot_order&) = delete;
-  hot_order& operator=(const hot_order&) = delete;
-
-  void configure(const visitor_queue_config& cfg) {
-    less_.secondary = cfg.secondary_vertex_sort;
-    advisor_ = cfg.advisor;
-    if (cfg.reserve_per_queue > 0) {
-      hot_.reserve(cfg.reserve_per_queue);
-      cold_.reserve(cfg.reserve_per_queue);
-    }
-  }
-
-  bool empty() const noexcept { return hot_.empty() && cold_.empty(); }
-  std::size_t size() const noexcept { return hot_.size() + cold_.size(); }
-
-  void push(Visitor&& v) { band_for(v).push(std::move(v)); }
-  void push(const Visitor& v) { band_for(v).push(v); }
-
-  /// Pops the best hot visitor if any, else the best cold one.
-  bool try_pop(Visitor& out) {
-    if (!hot_.empty()) {
-      out = hot_.pop();
-      ++hot_pops_;
-      return true;
-    }
-    if (cold_.empty()) return false;
-    out = cold_.pop();
-    return true;
-  }
-
-  /// Discards all queued visitors (post-abort engine reset). Also zeroes
-  /// the hot-pop tally so an aborted run's pops don't leak into the next
-  /// run's stats (post-abort stats report zeros).
-  void clear() noexcept {
-    hot_.clear();
-    cold_.clear();
-    hot_pops_ = 0;
-  }
-
-  /// Pops served from the hot band since last taken (folded into
-  /// queue_run_stats::hot_pops / the queue.hot_pops counter).
-  std::uint64_t take_hot_pops() noexcept {
-    return std::exchange(hot_pops_, std::uint64_t{0});
-  }
-
- private:
-  using heap = dary_heap<Visitor, visitor_priority_less<Visitor>&>;
-
-  heap& band_for(const Visitor& v) {
-    return advisor_ != nullptr &&
-                   advisor_->is_hot(static_cast<std::uint64_t>(v.vertex()))
-               ? hot_
-               : cold_;
-  }
-
-  visitor_priority_less<Visitor> less_;
-  const hot_advisor* advisor_ = nullptr;
-  // Both heaps hold a reference to less_, so the policy is pinned in place
-  // (the engine's worker array never relocates).
-  heap hot_{less_};
-  heap cold_{less_};
-  std::uint64_t hot_pops_ = 0;
 };
 
 }  // namespace asyncgt

@@ -25,19 +25,12 @@ namespace service {
 class worker_pool;
 }
 
-// Forward-declared so configs can carry the advisory pointer without the
-// full interface; the engine and hot_order include hot_advisor.hpp.
-class hot_advisor;
-
 /// Visitor pop ordering. `priority` is the paper's design; `fifo` and `lifo`
-/// exist for the ablation bench that quantifies what the prioritization buys;
-/// `hot` is the two-band hot-block mode (priority order within each band,
-/// but visitors whose adjacency block is cache-resident or pressure-hot pop
-/// first — see hot_advisor.hpp and docs/hot_blocks.md).
-/// The value selects one of four compile-time ordering policies
+/// exist for the ablation bench that quantifies what the prioritization buys.
+/// The value selects one of three compile-time ordering policies
 /// (ordering_policy.hpp) once at queue construction — the hot pop loop runs
 /// inside the selected instantiation and pays no per-pop dispatch.
-enum class queue_order { priority, fifo, lifo, hot };
+enum class queue_order { priority, fifo, lifo };
 
 struct visitor_queue_config {
   std::size_t num_threads = 4;
@@ -88,15 +81,6 @@ struct visitor_queue_config {
   /// direction decisions; null costs one predictable branch per idle
   /// transition.
   frontier_estimator* estimator = nullptr;
-
-  /// Hot-vertex advisor (borrowed, nullable). With `order == hot` this is
-  /// the signal source for the two-band pop discipline: hot_order asks it
-  /// is_hot() at push time, and the engine feeds it on_enqueue/on_complete
-  /// at delivery/visit time (which is how the SEM block_pressure tracker
-  /// stays live). Null degrades hot ordering to plain priority order and
-  /// costs the other orderings nothing. sem_config::open() builds and wires
-  /// one when requested (docs/hot_blocks.md).
-  hot_advisor* advisor = nullptr;
 
   /// Borrowed worker pool (nullable). When set, run()/run_seeded() dispatch
   /// their worker bodies as a gang on this pool — acquire/release of parked

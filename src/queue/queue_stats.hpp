@@ -22,8 +22,6 @@ struct queue_run_stats {
                                      // acquisitions on the push side);
                                      // pushes/flushes ≈ realized batch size
   std::uint64_t wakeups = 0;         // worker sleep→wake transitions
-  std::uint64_t hot_pops = 0;        // pops served from hot_order's hot band
-                                     // (0 under every other ordering)
   std::uint64_t max_queue_length = 0;  // max over all per-thread queues
   double elapsed_seconds = 0.0;
 
@@ -62,7 +60,6 @@ struct queue_run_stats {
            " pushes=" + std::to_string(pushes) +
            " flushes=" + std::to_string(flushes) +
            " wakeups=" + std::to_string(wakeups) +
-           " hot_pops=" + std::to_string(hot_pops) +
            " max_qlen=" + std::to_string(max_queue_length) +
            " elapsed_s=" + elapsed +
            " queue_visits_min=" + std::to_string(min_queue_visits()) +

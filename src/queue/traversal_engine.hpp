@@ -80,7 +80,6 @@
 #include <variant>
 #include <vector>
 
-#include "queue/hot_advisor.hpp"
 #include "queue/mailbox.hpp"
 #include "queue/ordering_policy.hpp"
 #include "queue/queue_config.hpp"
@@ -161,12 +160,6 @@ class traversal_engine {
     term_.reserve(1);
     ext_pushes_.fetch_add(1, std::memory_order_relaxed);
     ext_flushes_.fetch_add(1, std::memory_order_relaxed);
-    // Advised before delivery: once delivered, the visitor may execute (and
-    // fire on_complete) on another thread, and the pressure tracker must
-    // never see a completion before its enqueue.
-    if (cfg_.advisor != nullptr) {
-      cfg_.advisor->on_enqueue(static_cast<std::uint64_t>(v.vertex()));
-    }
     boxes_[route_(v.vertex())].deliver_one(std::move(v));
   }
 
@@ -488,13 +481,6 @@ class traversal_engine {
     auto& buf = me.outbox[dest];
     if (buf.empty()) return;
     if (!me.seeding) term_.reserve(static_cast<std::int64_t>(buf.size()));
-    // Advised before delivery (see push_external); covers seeded visitors
-    // too, so pressure conservation holds for run() and run_seeded alike.
-    if (cfg_.advisor != nullptr) {
-      for (const Visitor& v : buf) {
-        cfg_.advisor->on_enqueue(static_cast<std::uint64_t>(v.vertex()));
-      }
-    }
     boxes_[dest].deliver(buf);
     buf.clear();
     ++me.flushes;
@@ -507,14 +493,14 @@ class traversal_engine {
   /// Merges freshly delivered visitors into the private ordering structure.
   /// A visitor whose pre_visit rejects the arrival is retired here instead:
   /// it is counted as a visit and a completion, so visits == pushes and the
-  /// termination and pressure ledgers balance exactly as if it had popped.
+  /// termination ledger balances exactly as if it had popped.
   bool drain(State& state, lane& me, mailbox<Visitor>& inbox) {
     me.scratch.clear();
     if (!inbox.drain(me.scratch)) return false;
     for (auto& v : me.scratch) {
       if constexpr (claims_on_arrival<Visitor, State>) {
         if (!v.pre_visit(state)) {
-          retire(me, v);
+          retire(me);
           continue;
         }
       }
@@ -527,14 +513,11 @@ class traversal_engine {
     return true;
   }
 
-  /// Books one finished visitor: a visit, a completion deferred to the next
-  /// commit point, and the advisor's matching on_complete.
-  void retire(lane& me, const Visitor& v) {
+  /// Books one finished visitor: a visit and a completion deferred to the
+  /// next commit point.
+  static void retire(lane& me) {
     ++me.visits;
     ++me.completed;
-    if (cfg_.advisor != nullptr) {
-      cfg_.advisor->on_complete(static_cast<std::uint64_t>(v.vertex()));
-    }
   }
 
   /// Commits the deferred completion tally. Precondition: the lane's
@@ -581,7 +564,7 @@ class traversal_engine {
         x.visit(state, handle, tid);
       }
       me.visiting = false;
-      retire(me, x);
+      retire(me);
     };
     [[maybe_unused]] std::size_t depth = 0;  // pending-set capacity
     if constexpr (reads_ahead) {
@@ -619,7 +602,7 @@ class traversal_engine {
           v.visit(state, handle, tid);
         }
         me.visiting = false;
-        retire(me, v);
+        retire(me);
         continue;
       }
       // Local structure empty: drain the inbox; failing that, flush our
@@ -847,9 +830,6 @@ class traversal_engine {
     term_.reset_done();
     ext_pushes_.store(0, std::memory_order_relaxed);
     ext_flushes_.store(0, std::memory_order_relaxed);
-    // The discarded visitors' enqueues were already advised; drop their
-    // pending-pressure contribution with them.
-    if (cfg_.advisor != nullptr) cfg_.advisor->reset();
   }
 
   queue_run_stats finalize_stats(double elapsed) {
@@ -861,7 +841,6 @@ class traversal_engine {
       s.pushes += ln.pushes;
       s.flushes += ln.flushes;
       s.wakeups += ln.wakeups;
-      s.hot_pops += ln.local.take_hot_pops();
       s.max_queue_length = std::max(s.max_queue_length, ln.max_len);
       s.visits_per_queue.push_back(ln.visits);
       ln.visits = ln.pushes = ln.flushes = ln.wakeups = ln.max_len = 0;
@@ -899,7 +878,6 @@ class traversal_engine {
     reg.get_counter("queue.pushes").add(0, s.pushes);
     reg.get_counter("queue.flushes").add(0, s.flushes);
     reg.get_counter("queue.wakeups").add(0, s.wakeups);
-    reg.get_counter("queue.hot_pops").add(0, s.hot_pops);
     reg.get_gauge("queue.max_queue_length")
         .record_max(static_cast<std::int64_t>(s.max_queue_length));
     telemetry::histogram& h = reg.get_histogram("queue.visits_per_queue");

@@ -99,9 +99,6 @@ class visitor_queue {
       case queue_order::lifo:
         engine_.template emplace<lifo_engine>(cfg_);
         break;
-      case queue_order::hot:
-        engine_.template emplace<hot_engine>(cfg_);
-        break;
     }
   }
 
@@ -229,8 +226,6 @@ class visitor_queue {
       detail::traversal_engine<Visitor, State, fifo_order<Visitor>>;
   using lifo_engine =
       detail::traversal_engine<Visitor, State, lifo_order<Visitor>>;
-  using hot_engine =
-      detail::traversal_engine<Visitor, State, hot_order<Visitor>>;
 
   /// Single dispatch point from the runtime order to the monomorphic
   /// engine. The monostate alternative only exists so the variant can be
@@ -243,10 +238,8 @@ class visitor_queue {
         return f(std::get<1>(engine_));
       case 2:
         return f(std::get<2>(engine_));
-      case 3:
-        return f(std::get<3>(engine_));
       default:
-        return f(std::get<4>(engine_));
+        return f(std::get<3>(engine_));
     }
   }
 
@@ -286,8 +279,7 @@ class visitor_queue {
   }
 
   visitor_queue_config cfg_;
-  std::variant<std::monostate, prio_engine, fifo_engine, lifo_engine,
-               hot_engine>
+  std::variant<std::monostate, prio_engine, fifo_engine, lifo_engine>
       engine_;
   std::vector<telemetry::sampler::probe_id> probe_ids_;
 };

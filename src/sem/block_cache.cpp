@@ -1,27 +1,14 @@
 #include "sem/block_cache.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace asyncgt::sem {
 
-block_cache::block_cache(std::uint64_t capacity_blocks,
-                         std::unique_ptr<cache_policy> policy)
-    : capacity_(capacity_blocks), policy_(std::move(policy)) {
+block_cache::block_cache(std::uint64_t capacity_blocks)
+    : capacity_(capacity_blocks) {
   if (capacity_blocks == 0) {
     throw std::invalid_argument("block_cache: capacity must be positive");
   }
-  if (policy_ == nullptr) policy_ = std::make_unique<lru_policy>();
-}
-
-void block_cache::evict_one() {
-  std::uint64_t rejects = 0;
-  const auto victim = policy_->pick_victim(lru_, rejects);
-  counters_.policy_rejects += rejects;
-  if (victim->prefetched) ++counters_.prefetch_wasted;
-  map_.erase(victim->block);
-  lru_.erase(victim);
-  ++counters_.evictions;
 }
 
 bool block_cache::access(std::uint64_t block) {
@@ -29,36 +16,20 @@ bool block_cache::access(std::uint64_t block) {
   const auto it = map_.find(block);
   if (it != map_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-    it->second->prefetched = false;  // first demand hit redeems a prefetch
     ++counters_.hits;
-    policy_->on_touch(block);
     if (heat_ != nullptr) heat_->record(block, false);
     return true;
   }
   ++counters_.misses;
   if (heat_ != nullptr) heat_->record(block, true);
-  if (!policy_->admit(block)) {
-    ++counters_.policy_rejects;
-    return false;
+  if (map_.size() >= capacity_) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+    ++counters_.evictions;
   }
-  if (map_.size() >= capacity_) evict_one();
-  lru_.push_front(cache_entry{block, false});
+  lru_.push_front(block);
   map_[block] = lru_.begin();
   return false;
-}
-
-bool block_cache::install(std::uint64_t block) {
-  std::lock_guard lk(mu_);
-  if (map_.find(block) != map_.end()) return false;
-  if (!policy_->admit(block)) {
-    ++counters_.policy_rejects;
-    return false;
-  }
-  if (map_.size() >= capacity_) evict_one();
-  lru_.push_front(cache_entry{block, true});
-  map_[block] = lru_.begin();
-  ++counters_.prefetch_installs;
-  return true;
 }
 
 bool block_cache::contains(std::uint64_t block) const {

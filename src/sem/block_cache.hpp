@@ -1,4 +1,4 @@
-// Policy-pluggable block cache — the stand-in for the OS page cache over
+// LRU block cache — the stand-in for the OS page cache over
 // the graph file.
 //
 // The paper's SEM machine had 16 GB of RAM under graphs of 9-136 GB, so a
@@ -9,43 +9,30 @@
 // makes both effects measurable: sem_csr charges the ssd_model only for
 // blocks that miss here.
 //
-// Implementation: hash-map + intrusive doubly-linked recency list guarded
-// by one mutex; *which* block to admit or evict is delegated to a
-// cache_policy (cache_policy.hpp) — lru_policy by default, byte-identical
-// to the pre-seam behavior, or the pressure-weighted policy that resists
-// evicting blocks with queued visitors. The cache stores presence only (the
-// real bytes always come from the file — the host filesystem is fast; only
-// the simulated device time matters), so capacity costs ~48 bytes per
-// tracked block regardless of block size.
+// Implementation: hash-map + doubly-linked recency list guarded by one
+// mutex; a miss in a full cache evicts the recency tail. The cache stores
+// presence only (the real bytes always come from the file — the host
+// filesystem is fast; only the simulated device time matters), so capacity
+// costs ~48 bytes per tracked block regardless of block size.
 //
 // The cache is also where per-block heat is recorded when a block_heat is
 // attached (the probe that decides the charge is the probe that is
-// recorded), and where the prefetch lane installs readahead blocks via
-// install() — outside the hit/miss ledger, with wasted installs counted
-// when they are evicted un-hit.
+// recorded).
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <unordered_map>
 
 #include "sem/block_heat.hpp"
-#include "sem/cache_policy.hpp"
 
 namespace asyncgt::sem {
 
 struct cache_counters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;  // misses/installs that displaced a block
-  /// Candidates the policy refused to evict (pressure-weighted scan skips)
-  /// plus misses the policy declined to admit. 0 under pure LRU.
-  std::uint64_t policy_rejects = 0;
-  std::uint64_t prefetch_installs = 0;  // blocks installed by readahead
-  /// Prefetched blocks evicted before any demand hit — readahead that paid
-  /// an install (and possibly an eviction) for nothing.
-  std::uint64_t prefetch_wasted = 0;
+  std::uint64_t evictions = 0;  // misses that displaced a block
 
   double hit_rate() const {
     const std::uint64_t total = hits + misses;
@@ -57,33 +44,20 @@ struct cache_counters {
 class block_cache {
  public:
   /// `capacity_blocks` = number of device blocks the "page cache" can hold.
-  /// `policy` selects admission/eviction behavior; null means LRU (the
-  /// pre-seam default, byte-identical eviction order).
-  explicit block_cache(std::uint64_t capacity_blocks,
-                       std::unique_ptr<cache_policy> policy = nullptr);
+  explicit block_cache(std::uint64_t capacity_blocks);
 
   block_cache(const block_cache&) = delete;
   block_cache& operator=(const block_cache&) = delete;
 
   /// Touches `block`: returns true on hit (and refreshes recency); on miss,
-  /// inserts it (policy admitting), evicting the policy's victim if full.
+  /// inserts it as most recent, evicting the least recent block if full.
   bool access(std::uint64_t block);
 
   /// Non-mutating residency probe: true iff `block` is currently tracked.
   /// Does not refresh recency and does not count as a hit or miss — used by
   /// the coalescing io_backend to trim speculative readahead at blocks the
-  /// simulated page cache would serve cheaply anyway, and by the hot-block
-  /// advisor's residency classification.
+  /// simulated page cache would serve cheaply anyway.
   bool contains(std::uint64_t block) const;
-
-  /// Prefetch insertion: makes `block` resident WITHOUT counting a hit or
-  /// miss or recording heat (readahead is not a demand access). A resident
-  /// block is left untouched (recency unrefreshed); a new block is inserted
-  /// most-recent, evicting the policy's victim if full. The entry stays
-  /// marked prefetched until its first demand hit; evicting it un-hit
-  /// counts as prefetch_wasted. Returns true if the block was newly
-  /// installed.
-  bool install(std::uint64_t block);
 
   /// Attaches a block-heat recorder (borrowed, nullable): every demand
   /// access then records the block and whether it missed — the same probe
@@ -93,9 +67,6 @@ class block_cache {
 
   std::uint64_t capacity() const noexcept { return capacity_; }
   std::uint64_t size() const;
-
-  /// Name of the installed admission/eviction policy ("lru", "pressure").
-  const char* policy_name() const noexcept { return policy_->name(); }
 
   /// Resident footprint this cache models when full: the page-cache bytes
   /// the simulated device blocks would occupy (capacity × block_bytes).
@@ -110,14 +81,10 @@ class block_cache {
   void clear();
 
  private:
-  /// Evicts the policy's victim from a full cache (mutex held).
-  void evict_one();
-
   const std::uint64_t capacity_;
-  std::unique_ptr<cache_policy> policy_;
   mutable std::mutex mu_;
-  cache_recency_list lru_;  // front = most recent
-  std::unordered_map<std::uint64_t, cache_recency_list::iterator> map_;
+  std::list<std::uint64_t> lru_;  // front = most recent
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
   block_heat* heat_ = nullptr;
   cache_counters counters_;
 };

@@ -1,15 +1,15 @@
 // Centralized block-id math for the semi-external layer.
 //
-// The block cache, the block-heat recorder, the pending-visitor pressure
-// tracker, and the prefetch lane all key their state by device block index.
-// Before this helper each of them derived the index locally (pos / bs with
-// a locally-chosen bs), and they disagreed when weighted edges changed the
-// byte stride of an adjacency list: heat sized its table from its own
-// block_bytes while the charge walk used the device's, so the same logical
-// block landed on different ids. Every byte-position -> block-id conversion
-// now goes through block_index_of() with ONE granularity chosen by the
-// caller that owns the device (sem_csr prefers the attached ssd_model's
-// block_bytes, falling back to the 4 KiB NAND page every preset uses).
+// The block cache and the block-heat recorder both key their state by
+// device block index. Before this helper each of them derived the index
+// locally (pos / bs with a locally-chosen bs), and they disagreed when
+// weighted edges changed the byte stride of an adjacency list: heat sized
+// its table from its own block_bytes while the charge walk used the
+// device's, so the same logical block landed on different ids. Every
+// byte-position -> block-id conversion now goes through block_index_of()
+// with ONE granularity chosen by the caller that owns the device (sem_csr
+// prefers the attached ssd_model's block_bytes, falling back to the 4 KiB
+// NAND page every preset uses).
 #pragma once
 
 #include <cstdint>

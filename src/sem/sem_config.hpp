@@ -2,26 +2,21 @@
 // graphs.
 //
 // Before this builder, every SEM call site wired sem_csr by hand through
-// five independent setters (backend, cache, heat, fault injector, retries),
-// and the hot-block machinery would have made it eight (pressure, advisor,
-// prefetch). sem_config folds the whole arrangement into one struct with
-// fluent with_* setters; open<VertexId>() materializes a sem_bundle that
-// OWNS every piece in destruction-safe order, so a call site is:
+// five independent setters (backend, cache, heat, fault injector, retries).
+// sem_config folds the whole arrangement into one struct with fluent with_*
+// setters; open<VertexId>() materializes a sem_bundle that OWNS every piece
+// in destruction-safe order, so a call site is:
 //
 //   auto scfg = sem::sem_config(path)
 //                   .with_device(&dev)
-//                   .with_cache_fraction(0.25)
-//                   .with_cache_policy("pressure")
-//                   .with_hot_ordering(true)
-//                   .with_prefetch_hot(true);
+//                   .with_cache_fraction(0.25);
 //   auto bundle = scfg.open<vertex32>();
-//   bundle.wire_queue(topt.queue);   // order=hot + advisor, when requested
 //   run(*bundle.graph, topt);
 //
 // from_options() bridges from traversal_options (duck-typed, so this header
-// never includes the service layer): the --ordering=hot / --cache-policy= /
-// --cache-fraction= / --prefetch-hot / --hot-threshold= flags parsed by
-// traversal_options::from_flags land here without further plumbing.
+// never includes the service layer): the --io-backend= / --cache-fraction= /
+// --io-retries= flags parsed by traversal_options::from_flags land here
+// without further plumbing.
 //
 // The old sem_csr setters remain as the thin primitives this builder
 // composes from (see the deprecation note in sem_csr.hpp).
@@ -37,40 +32,28 @@
 #include "sem/block_cache.hpp"
 #include "sem/block_heat.hpp"
 #include "sem/block_index.hpp"
-#include "sem/block_pressure.hpp"
-#include "sem/cache_policy.hpp"
 #include "sem/fault_injector.hpp"
-#include "sem/hot_advisor.hpp"
 #include "sem/io_backend.hpp"
-#include "sem/prefetcher.hpp"
 #include "sem/sem_csr.hpp"
 #include "sem/ssd_model.hpp"
 
 namespace asyncgt::sem {
 
 /// Everything sem_config::open() built, ownership included. Member order is
-/// destruction order in reverse: the advisor and prefetcher go first (the
-/// prefetcher joins its worker thread while the cache and device it touches
-/// are still alive), the graph before the pressure/heat/caches it borrows.
+/// destruction order in reverse: the graph goes first, before the heat
+/// recorders and caches it borrows.
 template <typename VertexId>
 struct sem_bundle {
-  std::unique_ptr<block_cache> cache;          // destroyed last
+  std::unique_ptr<block_cache> cache;  // destroyed last
   std::unique_ptr<block_cache> reverse_cache;
   std::unique_ptr<block_heat> heat;
   std::unique_ptr<block_heat> reverse_heat;
-  std::unique_ptr<block_pressure> pressure;
-  std::unique_ptr<sem_csr<VertexId>> graph;
-  std::unique_ptr<prefetcher> prefetch;
-  std::unique_ptr<sem_hot_advisor<VertexId>> advisor;  // destroyed first
+  std::unique_ptr<sem_csr<VertexId>> graph;  // destroyed first
 
-  /// Applies the hot-ordering half to a queue config: when the bundle was
-  /// built with hot ordering, selects queue_order::hot and installs the
-  /// advisor; otherwise leaves the config untouched.
-  void wire_queue(visitor_queue_config& q) const {
-    if (advisor == nullptr) return;
-    q.order = queue_order::hot;
-    q.advisor = advisor.get();
-  }
+  /// Does nothing: a SEM graph needs no queue wiring. Kept only because the
+  /// benchmark's sem-rmat workload (perfbench/src/sem_rmat.cpp) still calls
+  /// it; remove it together with that call.
+  void wire_queue(visitor_queue_config&) const {}
 };
 
 class sem_config {
@@ -100,12 +83,6 @@ class sem_config {
     cache_blocks_ = blocks;
     return *this;
   }
-  /// Admission/eviction policy name: "lru" (default) or "pressure"
-  /// (make_cache_policy; "pressure" implies building a pressure tracker).
-  sem_config& with_cache_policy(std::string name) {
-    cache_policy_ = std::move(name);
-    return *this;
-  }
   /// I/O backend name ("sync" | "coalescing" | "uring") and batch depth.
   sem_config& with_io_backend(std::string name, std::uint32_t batch = 8) {
     io_backend_ = std::move(name);
@@ -122,20 +99,6 @@ class sem_config {
   /// Attach a block_heat recorder sized to the file.
   sem_config& with_heat(bool on = true) {
     heat_ = on;
-    return *this;
-  }
-  /// Build the pressure tracker + hot advisor (queue_order::hot signal).
-  sem_config& with_hot_ordering(bool on = true,
-                                std::uint32_t threshold = 4) {
-    hot_ = on;
-    hot_threshold_ = threshold;
-    return *this;
-  }
-  /// Async readahead of hot non-resident blocks. Requires a batching
-  /// backend (coalescing/uring) — the sync backend has no async lane to
-  /// overlap with, so the request is ignored there (docs/io_backends.md).
-  sem_config& with_prefetch_hot(bool on = true) {
-    prefetch_hot_ = on;
     return *this;
   }
   /// Open the on-disk reverse (transpose) view, with its own cache/heat
@@ -160,35 +123,26 @@ class sem_config {
   const std::string& path() const noexcept { return path_; }
   ssd_model* device() const noexcept { return device_; }
   double cache_fraction() const noexcept { return cache_fraction_; }
-  const std::string& cache_policy() const noexcept { return cache_policy_; }
   const std::string& io_backend_name() const noexcept { return io_backend_; }
   std::uint32_t io_batch() const noexcept { return io_batch_; }
-  bool hot_ordering() const noexcept { return hot_; }
-  std::uint32_t hot_threshold() const noexcept { return hot_threshold_; }
-  bool prefetch_hot() const noexcept { return prefetch_hot_; }
 
   /// Bridge from traversal_options (or anything shaped like it — duck
   /// typed so sem never includes the service layer). Picks up the retry /
-  /// backend knobs plus the hot-block flags: queue.order == hot selects the
-  /// advisor, cache_policy/cache_fraction/prefetch_hot/hot_threshold map
-  /// 1:1, and hybrid requests the reverse view. A negative cache_fraction
-  /// means "caller decides" and leaves the builder's current value alone.
+  /// backend knobs and cache_fraction, and hybrid requests the reverse
+  /// view. A negative cache_fraction means "caller decides" and leaves the
+  /// builder's current value alone.
   template <typename Topt>
   static sem_config from_options(const Topt& t, std::string path) {
     sem_config c(std::move(path));
     c.with_io_backend(t.io_backend, t.io_batch)
         .with_retries(t.io_retries, t.io_backoff_us)
-        .with_hot_ordering(t.queue.order == queue_order::hot,
-                           t.hot_threshold)
-        .with_cache_policy(t.cache_policy)
-        .with_prefetch_hot(t.prefetch_hot)
         .with_reverse(t.hybrid);
     if (t.cache_fraction >= 0.0) c.with_cache_fraction(t.cache_fraction);
     return c;
   }
 
-  /// Materializes the whole arrangement. Throws on an unknown backend or
-  /// policy name, a missing/corrupt graph file, or a missing reverse file
+  /// Materializes the whole arrangement. Throws on an unknown backend name,
+  /// a missing/corrupt graph file, or a missing reverse file
   /// when with_reverse was requested.
   template <typename VertexId>
   sem_bundle<VertexId> open() const {
@@ -201,17 +155,8 @@ class sem_config {
     // the tables have always sized caches this way, and the bench shape
     // checks are calibrated against it.
     const std::uint64_t file_blocks = file_bytes / bs + 1;
-    // Pressure covers the whole file's block range; built whenever the hot
-    // signal OR the pressure-weighted policy needs it.
-    if (hot_ || cache_policy_ == "pressure") {
-      b.pressure = std::make_unique<block_pressure>(
-          blocks_covering(file_bytes, bs), bs);
-    }
     const std::uint64_t cap = cache_capacity(file_blocks);
-    if (cap > 0) {
-      b.cache = std::make_unique<block_cache>(
-          cap, make_cache_policy(cache_policy_, b.pressure.get()));
-    }
+    if (cap > 0) b.cache = std::make_unique<block_cache>(cap);
     b.graph = std::make_unique<sem_csr<VertexId>>(path_, device_,
                                                   b.cache.get());
     io_backend_config bcfg;
@@ -232,11 +177,8 @@ class sem_config {
       const std::uint64_t rblocks =
           std::filesystem::file_size(rpath) / bs + 1;
       const std::uint64_t rcap = cache_capacity(rblocks);
-      if (rcap > 0) {
-        // The reverse file is its own byte space; its cache stays plain LRU
-        // (pressure describes forward-adjacency demand only).
-        b.reverse_cache = std::make_unique<block_cache>(rcap);
-      }
+      // The reverse file is its own byte space with its own cache.
+      if (rcap > 0) b.reverse_cache = std::make_unique<block_cache>(rcap);
       if (heat_) {
         b.reverse_heat = std::make_unique<block_heat>(
             blocks_covering(std::filesystem::file_size(rpath), bs), bs);
@@ -245,17 +187,6 @@ class sem_config {
     }
     b.graph->set_io_recorder(recorder_);
     b.graph->set_fault_injector(injector_);
-    // The async readahead lane only helps when the demand path itself
-    // batches (coalescing/uring); on the sync backend it is ignored.
-    if (prefetch_hot_ && b.cache != nullptr &&
-        bcfg.kind != io_backend_kind::sync) {
-      b.prefetch = std::make_unique<prefetcher>(b.cache.get(), device_, bs);
-    }
-    if (hot_) {
-      b.advisor = std::make_unique<sem_hot_advisor<VertexId>>(
-          *b.graph, b.pressure.get(), b.cache.get(), b.prefetch.get(),
-          hot_threshold_);
-    }
     return b;
   }
 
@@ -272,15 +203,11 @@ class sem_config {
   ssd_model* device_ = nullptr;
   double cache_fraction_ = 0.0;
   std::uint64_t cache_blocks_ = 0;
-  std::string cache_policy_ = "lru";
   std::string io_backend_ = "sync";
   std::uint32_t io_batch_ = 8;
   std::uint32_t io_retries_ = 4;
   std::uint32_t io_backoff_us_ = 50;
   bool heat_ = false;
-  bool hot_ = false;
-  std::uint32_t hot_threshold_ = 4;
-  bool prefetch_hot_ = false;
   bool open_reverse_ = false;
   fault_injector* injector_ = nullptr;
   telemetry::io_recorder* recorder_ = nullptr;

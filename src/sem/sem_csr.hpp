@@ -155,12 +155,12 @@ class sem_csr {
   // ---- Piecewise wiring setters ----
   //
   // DEPRECATED as a construction surface: new code builds a fully wired
-  // graph (device, cache+policy, heat, pressure, backend, retries, faults,
-  // recorder, prefetch, hot advisor) through the sem_config builder
-  // (sem/sem_config.hpp) in one declaration. These setters remain as the
-  // thin primitives the builder — and existing tests — compose from, and
-  // keep their exact semantics; they are not going away, but call sites
-  // wiring five of them by hand should migrate (docs/hot_blocks.md).
+  // graph (device, cache, heat, backend, retries, faults, recorder)
+  // through the sem_config builder (sem/sem_config.hpp) in one
+  // declaration. These setters remain as the thin primitives the builder —
+  // and existing tests — compose from, and keep their exact semantics;
+  // they are not going away, but call sites wiring five of them by hand
+  // should migrate.
 
   /// Attaches a telemetry I/O recorder (borrowed, nullable) to the
   /// underlying edge file — and the reverse one, when open: every adjacency
@@ -192,7 +192,7 @@ class sem_csr {
   /// recorder with heat_blocks_for(). With heat attached but no device, the
   /// charge walk still runs (to classify hits/misses) but charges nothing.
   /// When a cache is attached, recording lives inside the cache's own probe
-  /// (block_cache::set_block_heat — the cache_policy seam), so heat misses
+  /// (block_cache::set_block_heat), so heat misses
   /// agree with the cache's miss counters by construction.
   void set_block_heat(block_heat* heat) noexcept {
     heat_ = heat;
@@ -200,7 +200,7 @@ class sem_csr {
   }
   block_heat* heat() const noexcept { return heat_; }
 
-  /// The block granularity every charge/heat/pressure derivation on this
+  /// The block granularity every charge/heat derivation on this
   /// graph uses: the attached device's block_bytes, else the heat
   /// recorder's, else the 4 KiB default (block_index.hpp).
   std::uint64_t charge_block_bytes() const noexcept {
@@ -210,20 +210,11 @@ class sem_csr {
   }
 
   /// Blocks needed to cover this file at the granularity charge_device will
-  /// use — pass to block_heat's / block_pressure's constructor.
+  /// use — pass to block_heat's constructor.
   std::uint64_t heat_blocks_for(std::uint64_t block_bytes = 4096) const {
     const std::uint64_t bs =
         device_ != nullptr ? device_->params().block_bytes : block_bytes;
     return blocks_covering(file_.size(), bs);
-  }
-
-  /// The device block holding the first bytes of v's adjacency list — the
-  /// vertex -> block mapping the hot-block advisor keys pressure, residency,
-  /// and prefetch by. (An adjacency list can span several blocks; the head
-  /// block is the representative, which keeps the mapping O(1).)
-  std::uint64_t adjacency_block_of(VertexId v) const noexcept {
-    return block_index_of(targets_pos_ + offsets_[v] * sizeof(VertexId),
-                          charge_block_bytes());
   }
 
   /// Swaps the I/O backend every adjacency read routes through (default:
@@ -420,8 +411,8 @@ class sem_csr {
   /// and returns the bytes to charge the device: the missing blocks, all of
   /// them when no cache is attached, 0 when nothing would be charged. Heat
   /// recording rides the cache's own probe when a cache is attached (the
-  /// probe that decides the charge is the probe that is recorded — the
-  /// cache_policy seam, block_cache::set_block_heat — so heat misses agree
+  /// probe that decides the charge is the probe that is recorded —
+  /// block_cache::set_block_heat — so heat misses agree
   /// exactly with the cache's miss counters); with heat but no cache, every
   /// touch records as a miss here, matching the full charge.
   std::uint64_t probe(std::uint64_t pos, std::uint64_t bytes) const {

@@ -49,27 +49,12 @@ struct traversal_options {
   std::string io_backend = "sync";
   std::uint32_t io_batch = 8;
 
-  /// Hot-block scheduling knobs (docs/hot_blocks.md), carried as plain
-  /// types per the layering rule above; sem::sem_config::from_options
-  /// consumes them (together with queue.order == hot) to build the
-  /// pressure tracker, cache policy, and prefetch lane. Ignored by
-  /// in-memory runs except queue.order, which any run honours.
-  ///
-  /// cache_policy: block-cache admission/eviction policy, "lru" (the
-  /// behavior-identical default) or "pressure" (resists evicting blocks
-  /// with queued visitors).
-  std::string cache_policy = "lru";
-  /// cache_fraction: simulated page-cache size as a fraction of the graph
-  /// file's blocks. Negative = not specified on the command line; each
-  /// tool/bench keeps its own default (agt_tool: 0.5 in demo mode, 0 with
-  /// explicit --sem; table4/table5: their calibrated per-table values).
+  /// Simulated page-cache size as a fraction of the graph file's blocks
+  /// (sem::sem_config::from_options consumes it). Negative = not specified
+  /// on the command line; each tool/bench keeps its own default (agt_tool:
+  /// 0.5 in demo mode, 0 with explicit --sem; table4/table5: their
+  /// calibrated per-table values). Ignored by in-memory runs.
   double cache_fraction = -1.0;
-  /// prefetch_hot: async readahead of hot non-resident blocks on the
-  /// coalescing/uring backends (ignored on sync).
-  bool prefetch_hot = false;
-  /// hot_threshold: pending-visitor count at which a block counts as hot
-  /// (ordering band, prefetch trigger, eviction resistance).
-  std::uint32_t hot_threshold = 4;
 
   /// Frontier-adaptive hybrid traversal (docs/hybrid_traversal.md). When
   /// set, BFS/CC drivers that support it flip from asynchronous top-down
@@ -150,15 +135,10 @@ struct traversal_options {
   ///   --io-backend=NAME  SEM read path: sync | coalescing | uring
   ///                      (default sync; docs/io_backends.md)
   ///   --io-batch=N       coalescing/uring batch depth (default 8)
-  ///   --ordering=NAME    pop order: priority | fifo | lifo | hot
-  ///                      (default priority; hot = pending-pressure bands,
-  ///                      docs/hot_blocks.md)
-  ///   --cache-policy=P   block-cache policy: lru | pressure (default lru)
+  ///   --ordering=NAME    pop order: priority | fifo | lifo
+  ///                      (default priority)
   ///   --cache-fraction=F page-cache size as a fraction of the file's
   ///                      blocks (default: tool/bench-specific)
-  ///   --prefetch-hot     readahead hot non-resident blocks (coalescing/
-  ///                      uring backends only; default off)
-  ///   --hot-threshold=N  pending visitors that make a block hot (default 4)
   ///   --hybrid           frontier-adaptive direction switching (default
   ///                      off; needs a reverse view on the graph)
   ///   --hybrid-alpha=X   top-down -> bottom-up threshold (default 14)
@@ -168,8 +148,20 @@ struct traversal_options {
   ///                      declared stalled (default 0 = off)
   ///   --priority=P       admission priority: low | normal | high | int
   /// `sem_mode` selects the SEM defaults (flush batch, secondary sort).
+  /// The option parser stores any key, so the flags of the removed
+  /// hot-block scheduler (--cache-policy, --prefetch-hot, --hot-threshold)
+  /// are rejected by name here rather than silently ignored.
   static traversal_options from_flags(const options& opt,
                                       bool sem_mode = false) {
+    for (const char* removed : {"cache-policy", "prefetch-hot",
+                                "hot-threshold"}) {
+      if (opt.has(removed)) {
+        throw std::invalid_argument(
+            std::string("--") + removed +
+            " was removed with hot-block scheduling; SEM runs use a "
+            "plain LRU cache");
+      }
+    }
     traversal_options o;
     o.queue.num_threads =
         static_cast<std::size_t>(opt.get_int("threads", 16));
@@ -190,25 +182,11 @@ struct traversal_options {
       o.queue.order = queue_order::fifo;
     } else if (ordering == "lifo") {
       o.queue.order = queue_order::lifo;
-    } else if (ordering == "hot") {
-      o.queue.order = queue_order::hot;
     } else {
       throw std::invalid_argument("bad --ordering value: " + ordering +
-                                  " (expected priority|fifo|lifo|hot)");
-    }
-    o.cache_policy = opt.get_string("cache-policy", o.cache_policy);
-    if (o.cache_policy != "lru" && o.cache_policy != "pressure") {
-      throw std::invalid_argument("bad --cache-policy value: " +
-                                  o.cache_policy +
-                                  " (expected lru|pressure)");
+                                  " (expected priority|fifo|lifo)");
     }
     o.cache_fraction = opt.get_double("cache-fraction", o.cache_fraction);
-    o.prefetch_hot = opt.get_bool("prefetch-hot", false);
-    o.hot_threshold = static_cast<std::uint32_t>(opt.get_int(
-        "hot-threshold", static_cast<std::int64_t>(o.hot_threshold)));
-    if (o.hot_threshold == 0) {
-      throw std::invalid_argument("--hot-threshold must be >= 1");
-    }
     o.hybrid = opt.get_bool("hybrid", false);
     o.hybrid_alpha = opt.get_double("hybrid-alpha", o.hybrid_alpha);
     o.hybrid_beta = opt.get_double("hybrid-beta", o.hybrid_beta);

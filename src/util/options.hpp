@@ -1,8 +1,9 @@
 // Minimal command-line option parser for benches and examples.
 //
-// Supports "--key=value", "--key value", and boolean "--flag" forms; unknown
-// options raise an error listing the registered names so bench sweeps fail
-// loudly instead of silently ignoring a typo'd parameter.
+// Supports "--key=value", "--key value", and boolean "--flag" forms. Every
+// key is stored as given: there is no registry of known names, so a typo'd
+// or unsupported option is silently ignored unless the consumer checks for
+// it with has() (traversal_options::from_flags does for removed flags).
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdint>
-#include <type_traits>
+#include <ostream>
+#include <string>
 
 #include "baselines/serial_bfs.hpp"
 #include "core/validate.hpp"
@@ -81,17 +80,23 @@ TEST(AsyncBfs, WeightedGraphIgnoresWeights) {
   EXPECT_EQ(r.level[2], 2u);  // hops, not weight sums
 }
 
-// gtest names each case after the raw bytes of its parameter. `tag` fills
-// what would otherwise be uninitialised padding, so every build gives the
-// cases the same names; the values are the ones the names were first
-// recorded with.
 struct BfsSweepParam {
   unsigned scale;
   bool rmat_b_preset;
-  std::array<std::uint8_t, 3> tag;
   std::size_t threads;
 };
-static_assert(std::has_unique_object_representations_v<BfsSweepParam>);
+
+/// Case name such as `scale8_b_t4`: scale, RMAT preset, threads.
+std::string to_string(const BfsSweepParam& p) {
+  return "scale" + std::to_string(p.scale) +
+         (p.rmat_b_preset ? "_b_t" : "_a_t") + std::to_string(p.threads);
+}
+std::string sweep_name(const ::testing::TestParamInfo<BfsSweepParam>& info) {
+  return to_string(info.param);
+}
+// gtest appends the printed parameter to each ctest name; without this it
+// would print the struct's raw bytes, padding included.
+void PrintTo(const BfsSweepParam& p, std::ostream* os) { *os << to_string(p); }
 
 class AsyncBfsSweep : public ::testing::TestWithParam<BfsSweepParam> {};
 
@@ -114,15 +119,13 @@ TEST_P(AsyncBfsSweep, MatchesSerialBfsLevels) {
 
 INSTANTIATE_TEST_SUITE_P(
     RmatVariants, AsyncBfsSweep,
-    ::testing::Values(BfsSweepParam{8, false, {}, 1},
-                      BfsSweepParam{8, false, {0x3B, 0x2C, 0x00}, 4},
-                      BfsSweepParam{8, false, {0x00, 0xD0, 0xEF}, 32},
-                      BfsSweepParam{8, true, {}, 4},
-                      BfsSweepParam{10, false, {}, 8},
-                      BfsSweepParam{10, true, {0x1E, 0x09, 0x00}, 8},
-                      BfsSweepParam{10, true, {0x00, 0xD0, 0xCA}, 64},
-                      BfsSweepParam{12, false, {}, 16},
-                      BfsSweepParam{12, true, {}, 16}));
+    ::testing::Values(BfsSweepParam{8, false, 1}, BfsSweepParam{8, false, 4},
+                      BfsSweepParam{8, false, 32}, BfsSweepParam{8, true, 4},
+                      BfsSweepParam{10, false, 8}, BfsSweepParam{10, true, 8},
+                      BfsSweepParam{10, true, 64},
+                      BfsSweepParam{12, false, 16},
+                      BfsSweepParam{12, true, 16}),
+    sweep_name);
 
 TEST(AsyncBfs, DeterministicLevelsAcrossRuns) {
   // Visit order is nondeterministic; final labels must not be.

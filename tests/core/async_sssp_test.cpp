@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdint>
-#include <type_traits>
+#include <ostream>
+#include <string>
 
 #include "baselines/serial_bfs.hpp"
 #include "baselines/serial_sssp.hpp"
@@ -96,19 +95,28 @@ TEST(AsyncSssp, UnweightedGraphBehavesLikeBfs) {
   EXPECT_EQ(sssp.dist, bfs.level);
 }
 
-// gtest names each case after the raw bytes of its parameter. `tag` and
-// `tail` fill what would otherwise be uninitialised padding, so every build
-// gives the cases the same names; the `tag` values are the ones the names
-// were first recorded with.
 struct SsspSweepParam {
   unsigned scale;
   bool rmat_b_preset;
-  std::array<std::uint8_t, 3> tag;
   weight_scheme scheme;
-  std::uint32_t tail;
   std::size_t threads;
 };
-static_assert(std::has_unique_object_representations_v<SsspSweepParam>);
+
+/// Case name such as `scale8_b_luw_t8`: scale, RMAT preset, weight scheme
+/// (the paper's UW / LUW), threads.
+std::string to_string(const SsspSweepParam& p) {
+  return "scale" + std::to_string(p.scale) + (p.rmat_b_preset ? "_b" : "_a") +
+         (p.scheme == weight_scheme::uniform ? "_uw_t" : "_luw_t") +
+         std::to_string(p.threads);
+}
+std::string sweep_name(const ::testing::TestParamInfo<SsspSweepParam>& info) {
+  return to_string(info.param);
+}
+// gtest appends the printed parameter to each ctest name; without this it
+// would print the struct's raw bytes, padding included.
+void PrintTo(const SsspSweepParam& p, std::ostream* os) {
+  *os << to_string(p);
+}
 
 class AsyncSsspSweep : public ::testing::TestWithParam<SsspSweepParam> {};
 
@@ -130,22 +138,18 @@ TEST_P(AsyncSsspSweep, MatchesDijkstra) {
 INSTANTIATE_TEST_SUITE_P(
     RmatWeightVariants, AsyncSsspSweep,
     ::testing::Values(
-        SsspSweepParam{8, false, {}, weight_scheme::uniform, 0, 1},
-        SsspSweepParam{8, false, {}, weight_scheme::uniform, 0, 8},
-        SsspSweepParam{8, false, {}, weight_scheme::log_uniform, 0, 8},
-        SsspSweepParam{8, true, {}, weight_scheme::uniform, 0, 8},
-        SsspSweepParam{8, true, {0x55, 0x00, 0x00}, weight_scheme::log_uniform,
-                       0, 8},
-        SsspSweepParam{10, false, {0xFF, 0xFF, 0xFF}, weight_scheme::uniform,
-                       0, 16},
-        SsspSweepParam{10, false, {}, weight_scheme::log_uniform, 0, 16},
-        SsspSweepParam{10, true, {0x7F, 0x00, 0x00}, weight_scheme::uniform,
-                       0, 64},
-        SsspSweepParam{10, true, {0x55, 0x00, 0x00}, weight_scheme::log_uniform,
-                       0, 64},
-        SsspSweepParam{12, false, {0xFF, 0xFF, 0xFF}, weight_scheme::uniform,
-                       0, 16},
-        SsspSweepParam{12, true, {}, weight_scheme::log_uniform, 0, 16}));
+        SsspSweepParam{8, false, weight_scheme::uniform, 1},
+        SsspSweepParam{8, false, weight_scheme::uniform, 8},
+        SsspSweepParam{8, false, weight_scheme::log_uniform, 8},
+        SsspSweepParam{8, true, weight_scheme::uniform, 8},
+        SsspSweepParam{8, true, weight_scheme::log_uniform, 8},
+        SsspSweepParam{10, false, weight_scheme::uniform, 16},
+        SsspSweepParam{10, false, weight_scheme::log_uniform, 16},
+        SsspSweepParam{10, true, weight_scheme::uniform, 64},
+        SsspSweepParam{10, true, weight_scheme::log_uniform, 64},
+        SsspSweepParam{12, false, weight_scheme::uniform, 16},
+        SsspSweepParam{12, true, weight_scheme::log_uniform, 16}),
+    sweep_name);
 
 TEST(AsyncSssp, DeterministicDistancesAcrossRuns) {
   const csr32 g =

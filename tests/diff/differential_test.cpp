@@ -35,31 +35,33 @@
 namespace asyncgt {
 namespace {
 
-/// One execution mode: in-memory, or semi-external through a named backend;
-/// `hot` additionally runs the traversal under hot-block scheduling
-/// (queue_order::hot; for SEM storage also the pressure-weighted cache
-/// policy and a deliberately small cache — docs/hot_blocks.md). Labels are
-/// pop-order independent, so every hot row must stay bit-identical.
+/// One execution mode: in-memory, or semi-external through a named backend.
+/// `flush_batch` is the queue's delivery batch; `cache_fraction` > 0 gives
+/// SEM storage a block cache that small, so the row evicts. Labels are
+/// pop-order independent, so every row must stay bit-identical. The rows'
+/// order is fixed: ctest names carry the row index.
 struct exec_mode {
   std::string name;
   bool sem = false;
   sem::io_backend_kind kind = sem::io_backend_kind::sync;
   std::uint32_t batch = 8;
-  bool hot = false;
+  std::size_t flush_batch = 1;
+  double cache_fraction = 0.0;
 };
 
 const std::vector<exec_mode>& modes() {
   static const std::vector<exec_mode> m = [] {
     std::vector<exec_mode> out;
-    out.push_back({"im", false, sem::io_backend_kind::sync, 0, false});
-    out.push_back({"im_hot", false, sem::io_backend_kind::sync, 0, true});
+    out.push_back({"im", false, sem::io_backend_kind::sync, 0, 1, 0.0});
+    // The tools' in-memory default delivery batch.
+    out.push_back({"im_batch64", false, sem::io_backend_kind::sync, 0, 64,
+                   0.0});
     for (const auto kind : sem::compiled_io_backends()) {
       if (!sem::io_backend_available(kind)) continue;
       // Batch 4 keeps several merge/flush cycles in even the small graphs.
-      out.push_back(
-          {std::string("sem_") + sem::to_string(kind), true, kind, 4, false});
-      out.push_back({std::string("sem_") + sem::to_string(kind) + "_hot",
-                     true, kind, 4, true});
+      const std::string name = std::string("sem_") + sem::to_string(kind);
+      out.push_back({name, true, kind, 4, 1, 0.0});
+      out.push_back({name + "_cache", true, kind, 4, 1, 0.25});
     }
     return out;
   }();
@@ -78,35 +80,20 @@ class Differential : public ::testing::TestWithParam<int> {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Queue config for this mode. Hot modes pop through the two-band hot
-  /// ordering; on SEM storage the band signal is the live advisor of the
-  /// bundle currently opened by on_mode (in memory there is no block
-  /// pressure, so the advisor stays null and every visitor lands in the
-  /// cold band — still exercising the hot engine end to end).
+  /// Queue config for this mode.
   visitor_queue_config cfg() const {
     visitor_queue_config c;
     c.num_threads = 8;
-    c.flush_batch = 1;
+    c.flush_batch = mode_.flush_batch;
     c.secondary_vertex_sort = true;
-    if (mode_.hot) {
-      c.order = queue_order::hot;
-      c.advisor = advisor_;
-    }
     return c;
   }
 
-  /// SEM builder for this mode: backend from the mode axis; hot modes add
-  /// a small cache under the pressure-weighted policy plus the pressure
-  /// tracker/advisor (threshold 2, so the tiny graphs actually produce hot
-  /// blocks).
+  /// SEM builder for this mode: backend and cache size from the mode axis.
   sem::sem_config sem_cfg(const std::string& p) const {
     sem::sem_config scfg(p);
-    scfg.with_io_backend(sem::to_string(mode_.kind), mode_.batch);
-    if (mode_.hot) {
-      scfg.with_cache_fraction(0.25)
-          .with_cache_policy("pressure")
-          .with_hot_ordering(true, 2);
-    }
+    scfg.with_io_backend(sem::to_string(mode_.kind), mode_.batch)
+        .with_cache_fraction(mode_.cache_fraction);
     return scfg;
   }
 
@@ -118,10 +105,7 @@ class Differential : public ::testing::TestWithParam<int> {
     const std::string p = (dir_ / (tag + ".agt")).string();
     write_graph(p, g);
     const auto bundle = sem_cfg(p).open<vertex32>();
-    advisor_ = bundle.advisor.get();
-    auto result = fn(*bundle.graph);
-    advisor_ = nullptr;
-    return result;
+    return fn(*bundle.graph);
   }
 
   /// Like on_mode, but the storage carries a reverse (transpose) view —
@@ -139,10 +123,7 @@ class Differential : public ::testing::TestWithParam<int> {
     const std::string p = (dir_ / (tag + ".agt")).string();
     write_graph_with_reverse(p, g);
     const auto bundle = sem_cfg(p).with_reverse().open<vertex32>();
-    advisor_ = bundle.advisor.get();
-    auto result = fn(*bundle.graph);
-    advisor_ = nullptr;
-    return result;
+    return fn(*bundle.graph);
   }
 
   /// The seeded graph families under test. CC additionally needs symmetric
@@ -169,9 +150,6 @@ class Differential : public ::testing::TestWithParam<int> {
 
   exec_mode mode_;
   std::filesystem::path dir_;
-  // Borrowed from the bundle on_mode currently holds open; cfg() installs
-  // it on the queue config of hot SEM runs.
-  hot_advisor* advisor_ = nullptr;
 };
 
 TEST_P(Differential, BfsMatchesSerialBaseline) {
@@ -315,9 +293,10 @@ TEST_P(Differential, DobfsMatchesSerialOnDirected) {
 // drivers must agree with a full recompute over the same pinned view in
 // every execution mode — the overlay composes with whatever storage the
 // mode axis supplies (in-memory CSR, or sem_csr through each compiled
-// backend, hot or not). Deletes are in play, so every row runs through
-// on_mode_reverse. Labels chain: each epoch repairs the previous epoch's
-// repaired labels, so a divergence compounds instead of washing out.
+// backend, with or without a cache). Deletes are in play, so every row
+// runs through on_mode_reverse. Labels chain: each epoch repairs the
+// previous epoch's repaired labels, so a divergence compounds instead of
+// washing out.
 TEST_P(Differential, IncrementalBfsMatchesRecompute) {
   for (const std::uint64_t seed : kSeeds) {
     const auto fam = families(seed, false)[0];  // rmat_a

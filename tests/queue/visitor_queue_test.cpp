@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "queue/hot_advisor.hpp"
 #include "util/cache_line.hpp"
 
 namespace asyncgt {
@@ -124,25 +123,6 @@ struct gate_visitor {
       }
     }
   }
-};
-
-/// Advisor tracking the pending pressure (enqueues minus completions).
-class pressure_advisor final : public hot_advisor {
- public:
-  bool is_hot(std::uint64_t vertex) const noexcept override {
-    return vertex % 2 == 0;
-  }
-  void on_enqueue(std::uint64_t) noexcept override {
-    enqueues.fetch_add(1, std::memory_order_relaxed);
-    pending.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_complete(std::uint64_t) noexcept override {
-    pending.fetch_sub(1, std::memory_order_relaxed);
-  }
-  void reset() noexcept override { pending.store(0); }
-
-  std::atomic<std::uint64_t> enqueues{0};
-  std::atomic<std::int64_t> pending{0};
 };
 
 std::uint64_t total_visits(const tree_state& s) {
@@ -414,16 +394,13 @@ TEST(VisitorQueue, PreVisitRejectsArrivalsUnderEveryOrder) {
     if (2 * v + 2 < kN) arrived[2 * v + 2] = 1;
   }
   ASSERT_GT(rejected, 0u);
-  for (const queue_order ord : {queue_order::priority, queue_order::fifo,
-                                queue_order::lifo, queue_order::hot}) {
+  for (const queue_order ord :
+       {queue_order::priority, queue_order::fifo, queue_order::lifo}) {
     for (const std::size_t threads : {1u, 4u}) {
       SCOPED_TRACE("order=" + std::to_string(static_cast<int>(ord)) +
                    " threads=" + std::to_string(threads));
-      pressure_advisor advisor;
-      visitor_queue_config cfg = cfg_with(threads, ord);
-      cfg.advisor = &advisor;
       gate_state state(kN);
-      visitor_queue<gate_visitor, gate_state> q(cfg);
+      visitor_queue<gate_visitor, gate_state> q(cfg_with(threads, ord));
       q.push(gate_visitor{0, 0});
       const auto stats = q.run(state);
       EXPECT_EQ(state.arrivals, arrived);
@@ -431,8 +408,6 @@ TEST(VisitorQueue, PreVisitRejectsArrivalsUnderEveryOrder) {
       // A rejected arrival still counts as a visit and a completion.
       EXPECT_EQ(stats.visits, stats.pushes);
       EXPECT_EQ(stats.pushes, arrivals);
-      EXPECT_EQ(advisor.enqueues.load(), stats.visits);
-      EXPECT_EQ(advisor.pending.load(), 0);
       EXPECT_EQ(q.pending(), 0);
     }
   }

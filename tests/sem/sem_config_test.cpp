@@ -1,18 +1,13 @@
-// sem_config — the one-declaration SEM construction surface
-// (docs/hot_blocks.md). Covered here:
+// sem_config — the one-declaration SEM construction surface. Covered here:
 //
-//   * the default open(): a bare graph, no cache/heat/pressure/advisor/
-//     prefetcher, and wire_queue leaving the queue config untouched;
+//   * the default open(): a bare graph, no cache/heat, and wire_queue
+//     leaving the queue config untouched;
 //   * seed-compatible cache sizing (fraction of file_bytes/block + 1, floor
 //     of one block) and the explicit with_cache_blocks override;
-//   * which configs build the pressure tracker (hot ordering OR the
-//     pressure policy) and the advisor (hot ordering only);
-//   * wire_queue installing queue_order::hot + the bundle's advisor;
-//   * the prefetch lane gating: batching backend AND a cache, never sync;
 //   * with_reverse materializing a separate reverse cache/heat pair;
 //   * from_options mapping (duck-typed traversal_options shape), including
 //     the negative-cache_fraction "caller decides" convention;
-//   * unknown policy / backend names throwing at open().
+//   * unknown backend names and missing files throwing at open().
 #include "sem/sem_config.hpp"
 
 #include <gtest/gtest.h>
@@ -22,8 +17,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/async_bfs.hpp"
-#include "baselines/serial_bfs.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph_io.hpp"
@@ -54,16 +47,12 @@ TEST_F(SemConfigTest, DefaultOpenIsBareGraph) {
   EXPECT_EQ(bundle.graph->num_vertices(), g_.num_vertices());
   EXPECT_EQ(bundle.cache, nullptr);
   EXPECT_EQ(bundle.heat, nullptr);
-  EXPECT_EQ(bundle.pressure, nullptr);
-  EXPECT_EQ(bundle.advisor, nullptr);
-  EXPECT_EQ(bundle.prefetch, nullptr);
   EXPECT_EQ(bundle.reverse_cache, nullptr);
 
   visitor_queue_config q;
   const queue_order before = q.order;
   bundle.wire_queue(q);
   EXPECT_EQ(q.order, before);
-  EXPECT_EQ(q.advisor, nullptr);
 }
 
 TEST_F(SemConfigTest, CacheFractionSizesSeedCompatibly) {
@@ -78,7 +67,6 @@ TEST_F(SemConfigTest, CacheFractionSizesSeedCompatibly) {
   ASSERT_NE(half.cache, nullptr);
   EXPECT_EQ(half.cache->capacity(),
             static_cast<std::uint64_t>(0.5 * static_cast<double>(file_blocks)));
-  EXPECT_STREQ(half.cache->policy_name(), "lru");
 
   // A tiny positive fraction floors to one block, never zero.
   const auto tiny = sem_config(path_)
@@ -98,65 +86,6 @@ TEST_F(SemConfigTest, CacheFractionSizesSeedCompatibly) {
   EXPECT_EQ(fixed.cache->capacity(), 3u);
 }
 
-TEST_F(SemConfigTest, PressureBuiltForHotOrderingOrPressurePolicy) {
-  // The pressure policy needs the tracker even without hot ordering.
-  const auto policy_only = sem_config(path_)
-                               .with_cache_fraction(0.5)
-                               .with_cache_policy("pressure")
-                               .open<vertex32>();
-  ASSERT_NE(policy_only.pressure, nullptr);
-  ASSERT_NE(policy_only.cache, nullptr);
-  EXPECT_STREQ(policy_only.cache->policy_name(), "pressure");
-  EXPECT_EQ(policy_only.advisor, nullptr);  // no hot ordering requested
-
-  // Hot ordering needs the tracker even with the plain LRU policy, and is
-  // the only thing that builds an advisor.
-  const auto hot = sem_config(path_).with_hot_ordering(true, 7).open<vertex32>();
-  ASSERT_NE(hot.pressure, nullptr);
-  ASSERT_NE(hot.advisor, nullptr);
-  EXPECT_EQ(hot.advisor->hot_threshold(), 7u);
-}
-
-TEST_F(SemConfigTest, WireQueueInstallsHotOrderAndAdvisor) {
-  const auto bundle = sem_config(path_).with_hot_ordering().open<vertex32>();
-  visitor_queue_config q;
-  bundle.wire_queue(q);
-  EXPECT_EQ(q.order, queue_order::hot);
-  EXPECT_EQ(q.advisor, bundle.advisor.get());
-
-  // The wired config drives a correct traversal end to end.
-  q.num_threads = 4;
-  const auto r = async_bfs(*bundle.graph, vertex32{0}, q);
-  EXPECT_EQ(r.level, serial_bfs(g_, vertex32{0}).level);
-  EXPECT_EQ(bundle.pressure->total_increments(),
-            bundle.pressure->total_decrements());
-  EXPECT_EQ(bundle.pressure->total_pending(), 0u);
-}
-
-TEST_F(SemConfigTest, PrefetchLaneRequiresBatchingBackendAndCache) {
-  // Sync backend: the readahead request is ignored (no async lane).
-  const auto sync = sem_config(path_)
-                        .with_cache_fraction(0.5)
-                        .with_prefetch_hot(true)
-                        .open<vertex32>();
-  EXPECT_EQ(sync.prefetch, nullptr);
-
-  // No cache: nowhere to install readahead results.
-  const auto nocache = sem_config(path_)
-                           .with_io_backend("coalescing")
-                           .with_prefetch_hot(true)
-                           .open<vertex32>();
-  EXPECT_EQ(nocache.prefetch, nullptr);
-
-  // Batching backend + cache: the lane exists.
-  const auto lane = sem_config(path_)
-                        .with_cache_fraction(0.5)
-                        .with_io_backend("coalescing")
-                        .with_prefetch_hot(true)
-                        .open<vertex32>();
-  EXPECT_NE(lane.prefetch, nullptr);
-}
-
 TEST_F(SemConfigTest, ReverseViewGetsItsOwnCacheAndHeat) {
   const std::string p = (dir_ / "rev.agt").string();
   csr32 g = rmat_graph<vertex32>(rmat_a(7));
@@ -170,8 +99,6 @@ TEST_F(SemConfigTest, ReverseViewGetsItsOwnCacheAndHeat) {
   EXPECT_NE(bundle.reverse_cache, nullptr);
   EXPECT_NE(bundle.reverse_heat, nullptr);
   EXPECT_NE(bundle.reverse_cache.get(), bundle.cache.get());
-  // The reverse byte space stays plain LRU regardless of the main policy.
-  EXPECT_STREQ(bundle.reverse_cache->policy_name(), "lru");
 }
 
 TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {
@@ -182,40 +109,24 @@ TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {
     std::uint32_t io_batch = 16;
     std::uint32_t io_retries = 7;
     std::uint32_t io_backoff_us = 10;
-    visitor_queue_config queue;
-    std::uint32_t hot_threshold = 2;
-    std::string cache_policy = "pressure";
-    bool prefetch_hot = true;
     bool hybrid = false;
     double cache_fraction = -1.0;
   } t;
-  t.queue.order = queue_order::hot;
 
   sem_config c = sem_config::from_options(t, path_);
   EXPECT_EQ(c.path(), path_);
   EXPECT_EQ(c.io_backend_name(), "coalescing");
   EXPECT_EQ(c.io_batch(), 16u);
-  EXPECT_TRUE(c.hot_ordering());
-  EXPECT_EQ(c.hot_threshold(), 2u);
-  EXPECT_EQ(c.cache_policy(), "pressure");
-  EXPECT_TRUE(c.prefetch_hot());
   // Negative cache_fraction means "caller decides": the builder default (0,
   // no cache) survives until the call site resolves its own default.
   EXPECT_EQ(c.cache_fraction(), 0.0);
 
   t.cache_fraction = 0.3;
-  t.queue.order = queue_order::priority;
   sem_config c2 = sem_config::from_options(t, path_);
   EXPECT_EQ(c2.cache_fraction(), 0.3);
-  EXPECT_FALSE(c2.hot_ordering());
 }
 
 TEST_F(SemConfigTest, UnknownNamesThrowAtOpen) {
-  EXPECT_THROW(sem_config(path_)
-                   .with_cache_fraction(0.5)
-                   .with_cache_policy("mru")
-                   .open<vertex32>(),
-               std::invalid_argument);
   EXPECT_THROW(sem_config(path_).with_io_backend("floppy").open<vertex32>(),
                std::invalid_argument);
   EXPECT_THROW(sem_config((dir_ / "missing.agt").string()).open<vertex32>(),

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 
 #include "service/traversal_options.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -80,6 +82,30 @@ TEST(TraversalOptions, FromFlagsParsesEveryKnob) {
   const traversal_options sem = traversal_options::from_flags(opt, true);
   EXPECT_EQ(sem.queue.flush_batch, 3u);
   EXPECT_TRUE(sem.queue.secondary_vertex_sort);
+}
+
+TEST(TraversalOptions, FromFlagsRejectsRemovedHotBlockFlags) {
+  // The hot-block scheduler's flags are gone; the option parser stores any
+  // key, so from_flags must refuse them by name instead of ignoring them.
+  const struct {
+    const char* flag;
+    const char* name;
+  } cases[] = {{"--ordering=hot", "hot"},
+               {"--prefetch-hot", "--prefetch-hot"},
+               {"--cache-policy=pressure", "--cache-policy"},
+               {"--hot-threshold=4", "--hot-threshold"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.flag);
+    const char* argv[] = {"prog", c.flag};
+    const options opt(2, argv);
+    try {
+      (void)traversal_options::from_flags(opt, true);
+      ADD_FAILURE() << "accepted " << c.flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -103,15 +103,7 @@ int usage() {
                "and SEM I/O backend flags (docs/io_backends.md):\n"
                "  --io-backend NAME      sync|coalescing|uring (default sync)\n"
                "  --io-batch N           coalescing batch depth (default 8)\n"
-               "hot-block scheduling flags (docs/hot_blocks.md):\n"
-               "  --ordering hot         pop visitors whose disk block is\n"
-               "                         cache-resident or heavily pending\n"
-               "  --cache-policy P       lru|pressure: pressure resists\n"
-               "                         evicting blocks with queued work\n"
-               "  --prefetch-hot         readahead hot non-resident blocks\n"
-               "                         (coalescing/uring backends only)\n"
-               "  --hot-threshold N      pending visitors that make a block\n"
-               "                         hot (default 4)\n"
+               "checkpoint flags:\n"
                "  --checkpoint-on-error F  bfs/sssp: save emergency\n"
                "                         checkpoint to F on abort (exit 3)\n"
                "  --resume F             bfs/sssp: resume from checkpoint F\n"
@@ -320,14 +312,37 @@ int cmd_validate(const options& opt) {
   return 0;
 }
 
+/// traversal_options::from_flags with its rejections (bad values, removed
+/// flags) reported as usage errors: exit 2 rather than the generic 1.
+bool parse_traversal_flags(const options& opt, bool sem_mode,
+                           const char* cmd, traversal_options& out) {
+  try {
+    out = traversal_options::from_flags(opt, sem_mode);
+    return true;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "agt_tool %s: %s\n", cmd, e.what());
+    return false;
+  }
+}
+
 template <typename F>
 int run_traversal(const options& opt, const char* name, F&& run) {
+  // No graph file means demo mode, which always runs semi-externally.
+  const bool demo = opt.positional().size() < 2;
+  const bool sem_mode = opt.get_bool("sem", false) || demo;
+  // One parser for threads / flush-batch / retries / backoff / deadline,
+  // shared with the engine API and the bench harnesses
+  // (service/traversal_options.hpp). The report attaches to the embedded
+  // queue config and the whole options bundle flows to the run lambda, so
+  // --deadline-ms / --stall-grace-ms reach the default engine's watchdog.
+  traversal_options topt;
+  if (!parse_traversal_flags(opt, sem_mode, name, topt)) return 2;
   bench::bench_report rep(opt, std::string("agt_tool_") + name);
+  rep.attach(topt.queue);
 
   std::string path;
-  bool sem_mode = opt.get_bool("sem", false);
   std::filesystem::path temp_file;
-  if (opt.positional().size() >= 2) {
+  if (!demo) {
     path = opt.positional()[1];
   } else {
     // Demo mode: no graph file given. Synthesize an undirected weighted
@@ -347,7 +362,6 @@ int run_traversal(const options& opt, const char* name, F&& run) {
       write_graph(temp_file.string(), g);
     }
     path = temp_file.string();
-    sem_mode = true;
     std::printf("no graph file given: synthesized RMAT-A scale %u "
                 "(%s vertices, %s edges), traversing semi-externally\n",
                 scale, fmt_count(g.num_vertices()).c_str(),
@@ -366,14 +380,6 @@ int run_traversal(const options& opt, const char* name, F&& run) {
       }
     }
   } cleanup{temp_file};
-
-  // One parser for threads / flush-batch / retries / backoff / deadline,
-  // shared with the engine API and the bench harnesses
-  // (service/traversal_options.hpp). The report attaches to the embedded
-  // queue config and the whole options bundle flows to the run lambda, so
-  // --deadline-ms / --stall-grace-ms reach the default engine's watchdog.
-  traversal_options topt = traversal_options::from_flags(opt, sem_mode);
-  rep.attach(topt.queue);
 
   int rc;
   if (sem_mode) {
@@ -399,8 +405,8 @@ int run_traversal(const options& opt, const char* name, F&& run) {
       return 2;
     }
     // One builder declaration replaces the old five-setter wiring: backend,
-    // cache (+ policy), retries, hot-block machinery, reverse view, fault
-    // injector, and recorder all land through sem_config (sem_config.hpp).
+    // cache, retries, reverse view, fault injector, and recorder all land
+    // through sem_config (sem_config.hpp).
     // Demo mode enables the cache (the SEM report should show hit/miss/
     // eviction dynamics); explicit --sem keeps the seed default of no cache
     // unless --cache-fraction asks for one.
@@ -420,24 +426,13 @@ int run_traversal(const options& opt, const char* name, F&& run) {
       telemetry::phase_timer ph(rep.trace(), "load-graph", &rep.metrics());
       bundle = scfg.open<vertex32>();
     }
-    // --ordering=hot: point the queue at the bundle's pressure-fed advisor.
-    bundle.wire_queue(topt.queue);
     auto* g = bundle.graph.get();
     if (rep.enabled()) {
       rep.sampler().add_probe("ssd.inflight", [&dev] {
         return static_cast<double>(dev.inflight());
       });
-      if (bundle.pressure != nullptr) {
-        rep.sampler().add_probe("sem.pending_visitors", [&bundle] {
-          return static_cast<double>(bundle.pressure->total_pending());
-        });
-      }
     }
     rc = run(*g, topt, rep);
-    // Outstanding readahead still charges the simulated device; settle it
-    // before the counters are read so wasted prefetch shows up as traffic
-    // instead of vanishing with the worker thread.
-    if (bundle.prefetch != nullptr) bundle.prefetch->drain();
     const auto c = dev.counters();
     std::printf("device: %s reads (%s MiB)\n", fmt_count(c.reads).c_str(),
                 fmt_count(c.read_bytes >> 20).c_str());
@@ -449,26 +444,9 @@ int run_traversal(const options& opt, const char* name, F&& run) {
                 fmt_count(bc.coalesced_ranges).c_str(),
                 fmt_count(bc.inflight_peak).c_str());
     if (bundle.cache != nullptr) {
-      std::printf("cache: %.1f%% hit rate, %s evictions (%s policy)\n",
+      std::printf("cache: %.1f%% hit rate, %s evictions\n",
                   100.0 * bundle.cache->counters().hit_rate(),
-                  fmt_count(bundle.cache->counters().evictions).c_str(),
-                  bundle.cache->policy_name());
-    }
-    if (bundle.pressure != nullptr) {
-      std::printf("pressure: %s visitor enqueues, %s completions, %s still "
-                  "pending\n",
-                  fmt_count(bundle.pressure->total_increments()).c_str(),
-                  fmt_count(bundle.pressure->total_decrements()).c_str(),
-                  fmt_count(bundle.pressure->total_pending()).c_str());
-    }
-    if (bundle.prefetch != nullptr) {
-      const auto pf = bundle.prefetch->stats();
-      std::printf("prefetch: %s requested, %s issued, %s stale, %s dropped, "
-                  "%s evicted unused\n",
-                  fmt_count(pf.requested).c_str(),
-                  fmt_count(pf.issued).c_str(), fmt_count(pf.stale).c_str(),
-                  fmt_count(pf.dropped).c_str(),
-                  fmt_count(bundle.cache->counters().prefetch_wasted).c_str());
+                  fmt_count(bundle.cache->counters().evictions).c_str());
     }
     const auto io = recorder.snapshot();
     if (injector != nullptr) {
@@ -489,19 +467,6 @@ int run_traversal(const options& opt, const char* name, F&& run) {
           .get_counter("io.coalesced_ranges")
           .add(0, io.coalesced_ranges);
       rep.metrics().get_counter("io.inflight_peak").add(0, io.inflight_peak);
-      if (bundle.cache != nullptr) {
-        rep.metrics()
-            .get_counter("cache.policy_rejects")
-            .add(0, bundle.cache->counters().policy_rejects);
-      }
-      if (bundle.prefetch != nullptr) {
-        rep.metrics()
-            .get_counter("sem.prefetch.issued")
-            .add(0, bundle.prefetch->stats().issued);
-        rep.metrics()
-            .get_counter("sem.prefetch.wasted")
-            .add(0, bundle.cache->counters().prefetch_wasted);
-      }
     }
     if (rep.json_enabled()) {
       json_value& s = rep.section("sem");
@@ -519,20 +484,10 @@ int run_traversal(const options& opt, const char* name, F&& run) {
       bj.set("inflight_peak", bc.inflight_peak);
       s.set("backend", std::move(bj));
       if (bundle.cache != nullptr) {
-        json_value cj = bench::to_json(bundle.cache->counters());
-        cj.set("policy", std::string(bundle.cache->policy_name()));
-        s.set("cache", std::move(cj));
+        s.set("cache", bench::to_json(bundle.cache->counters()));
       }
-      if (bundle.pressure != nullptr) {
-        s.set("pressure", bench::to_json(*bundle.pressure));
-      }
-      if (bundle.prefetch != nullptr) {
-        s.set("prefetch", bench::to_json(bundle.prefetch->stats(),
-                                         bundle.cache->counters()));
-      }
-      // Bytes of device traffic per completed visit — the hot-block
-      // scheduling objective; the run lambda already reported visits into
-      // the algorithm section.
+      // Bytes of device traffic per completed visit; the run lambda already
+      // reported visits into the algorithm section.
       if (const json_value* visits = rep.section("algorithm").find("visits");
           visits != nullptr && visits->as_int() > 0) {
         s.set("bytes_per_visit",
@@ -765,8 +720,9 @@ int cmd_pagerank(const options& opt) {
 
 int cmd_metrics(const options& opt) {
   if (opt.positional().size() < 2) return usage();
+  traversal_options cfg;
+  if (!parse_traversal_flags(opt, false, "metrics", cfg)) return 2;
   const csr32 g = read_graph32(opt.positional()[1]);
-  const traversal_options cfg = traversal_options::from_flags(opt);
   const degree_summary s = compute_degree_summary(g);
   std::printf("degree          : %s\n", s.stats.to_string().c_str());
   std::printf("top-1%% edges    : %.1f%%\n",
@@ -1055,8 +1011,9 @@ int cmd_update(const options& opt) {
   }
 
   const bool sem_mode = opt.get_bool("sem", false);
+  traversal_options topt;
+  if (!parse_traversal_flags(opt, sem_mode, "update", topt)) return 2;
   bench::bench_report rep(opt, "agt_tool_update");
-  traversal_options topt = traversal_options::from_flags(opt, sem_mode);
   rep.attach(topt.queue);
 
   int rc;
@@ -1084,7 +1041,6 @@ int cmd_update(const options& opt) {
     // .rev companion exists (agt_tool transpose writes one).
     if (has_reverse_file(path)) scfg.with_reverse();
     auto bundle = scfg.open<vertex32>();
-    bundle.wire_queue(topt.queue);
     rc = run_update(opt, *bundle.graph, topt, rep, batches, injector.get());
     if (injector != nullptr) {
       const auto fc = injector->counters();

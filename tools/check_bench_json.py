@@ -28,14 +28,6 @@ engine::service_counters) must satisfy the admission conservation law
 submitted = rejected + active + completed + failed + cancelled +
 deadline_exceeded + stalled + shed.
 
-It also validates block-pressure blocks (bench::to_json(block_pressure) —
-`sem.pressure` in agt_tool reports, per-mode `pressure` objects in
-ext_hot_blocks): increments / decrements / pending must be non-negative,
-decrements can never exceed increments (the tracker clamps at zero instead
-of counting a phantom decrement), and when all three are present they must
-satisfy pending == increments - decrements — the conservation law the hot
-scheduling machinery rests on (docs/hot_blocks.md).
-
 An "incremental" section (ext_incremental, docs/dynamic_graphs.md) is
 checked against the repair planner's structural law: per algorithm,
 0 <= reseeded <= affected <= n, with non-negative repair/full visit counts.
@@ -121,40 +113,6 @@ def check_hybrid_phases(value, where):
                 where, total, declared)
     for key, child in value.items():
         error = check_hybrid_phases(child, "%s.%s" % (where, key))
-        if error is not None:
-            return error
-    return None
-
-
-def check_pressure(value, where):
-    """Recursively checks block-pressure objects; returns an error or None."""
-    if isinstance(value, list):
-        for i, entry in enumerate(value):
-            error = check_pressure(entry, "%s[%d]" % (where, i))
-            if error is not None:
-                return error
-        return None
-    if not isinstance(value, dict):
-        return None
-    pressure = value.get("pressure")
-    if isinstance(pressure, dict):
-        p_where = "%s.pressure" % where
-        inc = _num(pressure, "increments")
-        dec = _num(pressure, "decrements")
-        pending = _num(pressure, "pending")
-        for key, v in (("increments", inc), ("decrements", dec),
-                       ("pending", pending)):
-            if key in pressure and (v is None or v < 0):
-                return "%s.%s must be a non-negative number" % (p_where, key)
-        if inc is not None and dec is not None and dec > inc:
-            return ("%s: decrements=%r exceed increments=%r (remove clamps "
-                    "at zero, it never over-counts)" % (p_where, dec, inc))
-        if inc is not None and dec is not None and pending is not None \
-                and pending != inc - dec:
-            return ("%s: conservation violated — pending=%r but "
-                    "increments-decrements=%r" % (p_where, pending, inc - dec))
-    for key, child in value.items():
-        error = check_pressure(child, "%s.%s" % (where, key))
         if error is not None:
             return error
     return None
@@ -288,9 +246,6 @@ def check(doc):
                                          or not isinstance(priority, int)):
                 return "jobs[%r]: priority must be an integer" % job_id
     error = check_hybrid_phases(doc, "$")
-    if error is not None:
-        return error
-    error = check_pressure(doc, "$")
     if error is not None:
         return error
     return check_percentiles(doc, "$")

@@ -33,10 +33,10 @@ regression even when --watch is trained on timings. Opt out with
 
 The cache-efficiency family is always-watched too (opt out with
 --no-watch-cache). `bytes_per_visit` (the SEM efficiency headline —
-device bytes read per completed visit) and `policy_rejects` are cost-like
-and gate on growth; `hit_rate` leaves gate in the INVERTED direction — a
-hit rate that *shrank* by more than the threshold is the regression, since
-a bigger hit rate is strictly better. With --no-watch-cache these leaves
+device bytes read per completed visit) is cost-like and gates on growth;
+`hit_rate` leaves gate in the INVERTED direction — a hit rate that
+*shrank* by more than the threshold is the regression, since a bigger hit
+rate is strictly better. With --no-watch-cache these leaves
 fall back to the default growth-direction handling of whatever --watch
 selects.
 
@@ -67,9 +67,9 @@ _SERVICE_WATCH = re.compile(
     r"|\.(rejected|shed|shed_requests|deadline_exceeded)$")
 
 # Cache-efficiency family (see module doc). Growth-watched: bytes moved per
-# unit of completed work and eviction-policy rejects. Shrink-watched
-# (inverted direction): cache hit rates — a smaller one is the regression.
-_CACHE_GROW_WATCH = re.compile(r"bytes_per_visit$|\.policy_rejects$")
+# unit of completed work. Shrink-watched (inverted direction): cache hit
+# rates — a smaller one is the regression.
+_CACHE_GROW_WATCH = re.compile(r"bytes_per_visit$")
 _CACHE_SHRINK_WATCH = re.compile(r"\.hit_rate$")
 
 # Incremental-repair work (see module doc): repair_visits is the dynamic
@@ -127,8 +127,8 @@ def main(argv):
                              "counters (rejected/shed/deadline_exceeded)")
     parser.add_argument("--no-watch-cache", action="store_true",
                         help="do not force-watch the cache-efficiency "
-                             "family (hit_rate shrink, bytes_per_visit / "
-                             "policy_rejects growth)")
+                             "family (hit_rate shrink, bytes_per_visit "
+                             "growth)")
     parser.add_argument("--no-watch-incremental", action="store_true",
                         help="do not force-watch the incremental-repair "
                              "work metrics (repair_visits / visit_ratio)")

@@ -15,11 +15,8 @@
 # (async vs serial labels across storage modes), the I/O-backend battery
 # (per-thread coalescing lanes, backend-identity under injected faults),
 # and the hybrid-traversal battery (the bottom-up sweeps' range-partitioned
-# parallel writes and the frontier estimator's worker-side sampling), and
-# the hot-block battery (sharded pressure counters hammered from all
-# workers, the two-band hot ordering, pressure-weighted eviction, the
-# sem_config bundle wiring, and the prefetch lane racing demand reads —
-# docs/hot_blocks.md), and the dynamic-graph battery (delta batches
+# parallel writes and the frontier estimator's worker-side sampling), the
+# sem_config bundle wiring, and the dynamic-graph battery (delta batches
 # applied while pinned readers iterate and async jobs run over old
 # epochs, plus the incremental-vs-recompute stream — docs/dynamic_graphs.md),
 # and the reads-ahead battery (SemPipeline: each lane's pending set and its
