@@ -5,9 +5,12 @@
 // Two mechanisms are claimed: (1) more queues -> less lock contention
 // in-memory, and (2) more outstanding I/O requests -> device saturation in
 // semi-external memory. This harness sweeps thread counts for both settings.
-// Mechanism (2) is hardware-independent (blocked threads cost no CPU), so
-// its shape check must hold anywhere; mechanism (1) needs real cores, so the
-// in-memory sweep is reported without a pass/fail gate.
+// Mechanism (2) is hardware-independent, so its shape checks must hold
+// anywhere. The paper gets its outstanding requests from blocked threads;
+// here each lane also reads ahead (docs/visitor_queue.md), so the checks
+// assert outstanding requests, not a thread count. Mechanism (1) needs real
+// cores, so the in-memory sweep is reported without a pass/fail gate. The
+// first --threads entry is the single-lane baseline.
 //
 //   ./ablation_oversubscription [--scale=14] [--threads=1,4,16,64,256,512]
 //                               [--sem-scale=12] [--time-scale=1]
@@ -44,9 +47,11 @@ int main(int argc, char** argv) {
 
   text_table table;
   table.header({"threads", "IM BFS (s)", "IM visits", "SEM BFS intel (s)",
-                "SEM IOPS"});
+                "SEM IOPS", "SEM peak inflight", "SEM in service"});
 
   std::vector<double> sem_times;
+  std::vector<std::uint64_t> sem_peaks;
+  std::vector<double> sem_in_service;
   for (const auto t : threads) {
     visitor_queue_config cfg;
     cfg.num_threads = static_cast<std::size_t>(t);
@@ -63,27 +68,36 @@ int main(int argc, char** argv) {
     const double t_sem =
         time_seconds([&] { sem_r = async_bfs(sg, vertex32{0}, sem_cfg); });
     sem_times.push_back(t_sem);
+    sem_peaks.push_back(dev.counters().max_inflight);
+    sem_in_service.push_back(
+        mean_reads_in_service(dev.params(), dev.counters(), t_sem));
 
     table.row({std::to_string(t), fmt_seconds(t_im),
                fmt_count(im_r.stats.visits), fmt_seconds(t_sem),
                fmt_count(static_cast<std::uint64_t>(
                    static_cast<double>(dev.counters().reads) /
-                   std::max(t_sem, 1e-9)))});
+                   std::max(t_sem, 1e-9))),
+               fmt_count(sem_peaks.back()), fmt_ratio(sem_in_service.back())});
   }
   std::printf("%s\n", table.render().c_str());
 
   bool ok = true;
-  // SEM: the best oversubscribed run beats the single-thread run by a large
-  // factor — the I/O latency-hiding claim, valid on any core count.
+  // SEM: one lane keeps the device as busy as many blocking threads would
+  // — the I/O latency-hiding claim, valid on any core count. A lane that
+  // blocks in every read keeps one read in flight, at most one in service.
+  const std::uint32_t channels = sem::intel_params().channels;
+  ok &= shape_check(sem_peaks.front() >= channels &&
+                        sem_in_service.front() >= 4.0,
+                    "one SEM lane keeps >= one read per channel in flight "
+                    "and >= 4 in service on average (>= 4x over blocking "
+                    "reads: I/O latency hiding)");
+  // SEM: more lanes add no latency hiding the outstanding requests have not
+  // already bought.
   double best_sem = sem_times.front();
   for (const double t : sem_times) best_sem = std::min(best_sem, t);
-  ok &= shape_check(best_sem * 4.0 < sem_times.front(),
-                    "oversubscribed SEM BFS is >=4x faster than "
-                    "single-thread SEM BFS (I/O latency hiding)");
-  // SEM: adding threads never dramatically regresses (no thrashing).
-  ok &= shape_check(sem_times.back() < sem_times.front(),
-                    "SEM BFS at the highest thread count still beats one "
-                    "thread (paper: '512 threads outperform 16 threads')");
+  ok &= shape_check(sem_times.front() <= best_sem * 2.0,
+                    "one SEM lane is within 2x of the best thread count "
+                    "(outstanding requests, not threads, hide the latency)");
   rep.add_table(table);
   if (rep.json_enabled()) rep.section("result").set("ok", ok);
   rep.finish();

@@ -7,12 +7,14 @@
 // pass larger --scales to approach the paper's 2^25..2^30 range.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "gen/rmat.hpp"
 #include "graph/csr_graph.hpp"
+#include "sem/ssd_model.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -25,6 +27,20 @@ double time_seconds(F&& fn) {
   wall_timer t;
   fn();
   return t.elapsed_seconds();
+}
+
+/// Mean device reads in service over a run of `seconds`: the service time
+/// the device booked for the run's reads (counters `c` of a device with
+/// params `p`) over its wall time. A lane that blocks in every read keeps
+/// this at or below 1; by Little's law it bounds the mean number of
+/// outstanding reads from below.
+inline double mean_reads_in_service(const sem::ssd_params& p,
+                                    const sem::ssd_counters& c,
+                                    double seconds) {
+  const double service_us =
+      static_cast<double>(c.reads) * p.read_latency_us +
+      static_cast<double>(c.read_blocks - c.reads) * p.seq_block_us;
+  return service_us * p.time_scale * 1e-6 / std::max(seconds, 1e-9);
 }
 
 /// "a" or "b" -> the paper's RMAT presets.

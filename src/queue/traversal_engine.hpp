@@ -28,11 +28,14 @@
 // the device for each popped visitor. It books the visitor's adjacency read,
 // parks the visitor in a small per-lane pending set and pops the next one;
 // a visitor whose blocks hit the cache is visited at once. Once the set
-// holds depth = ceil(device channels / lanes) visitors, or the lane has
+// holds depth = ceil(2 x device channels / lanes) visitors, or the lane has
 // nothing else to pop, it sleeps until the earliest read completes and
-// visits that visitor. A pending visitor is in-flight work: the lane never
-// flushes, commits or parks while it holds one, and an abort ends its
-// reads. Other visitors and in-memory graphs compile to the plain loop.
+// visits that visitor. Two reads per channel keep each channel busy through
+// the lag between a read completing and its lane noticing; the total stays
+// about 2 x channels however many lanes run. A pending visitor is in-flight
+// work: the lane never flushes, commits or parks while it holds one, and an
+// abort ends its reads. Other visitors and in-memory graphs compile to the
+// plain loop.
 //
 // Compared to the seed's monolith, a visitor crossing threads costs
 // 1/flush_batch mutex acquisitions and 1/flush_batch termination-counter
@@ -568,8 +571,10 @@ class traversal_engine {
     };
     [[maybe_unused]] std::size_t depth = 0;  // pending-set capacity
     if constexpr (reads_ahead) {
-      const std::size_t channels = state.g->io_channels();
-      depth = (channels + cfg_.num_threads - 1) / cfg_.num_threads;
+      // Two reads per channel across the lanes: one in service, one queued
+      // behind it to cover the owning lane's lag in noticing completions.
+      const std::size_t reads = 2 * state.g->io_channels();
+      depth = (reads + cfg_.num_threads - 1) / cfg_.num_threads;
       me.pending.reserve(depth);
     }
     Visitor v{};

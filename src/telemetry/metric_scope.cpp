@@ -3,8 +3,8 @@
 namespace asyncgt::telemetry {
 
 namespace detail {
-thread_local metric_scope* tls_scope = nullptr;
-thread_local std::size_t tls_shard = 0;
+constinit thread_local metric_scope* tls_scope = nullptr;
+constinit thread_local std::size_t tls_shard = 0;
 }  // namespace detail
 
 metric_scope::metric_scope(std::uint64_t job_id, std::string label,

@@ -49,9 +49,11 @@ class metric_scope;
 namespace detail {
 // Ambient attribution state: the scope (and shard) the current thread's
 // work is charged to. Installed by metric_scope::attribution; read by the
-// static count_* helpers below.
-extern thread_local metric_scope* tls_scope;
-extern thread_local std::size_t tls_shard;
+// static count_* helpers below. constinit: both are constant-initialized,
+// so other translation units read them directly instead of through a
+// TLS-init wrapper call (which UBSan flagged as a null load).
+extern constinit thread_local metric_scope* tls_scope;
+extern constinit thread_local std::size_t tls_shard;
 }  // namespace detail
 
 class metric_scope {

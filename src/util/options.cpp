@@ -1,12 +1,17 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace asyncgt {
 
-options::options(int argc, const char* const* argv) {
+options::options(int argc, const char* const* argv,
+                 std::initializer_list<std::string_view> flags) {
+  const auto is_flag = [&](const std::string& key) {
+    return std::find(flags.begin(), flags.end(), key) != flags.end();
+  };
   for (int i = 1; i < argc; ++i) {
     std::string tok = argv[i];
     if (tok.rfind("--", 0) != 0) {
@@ -18,7 +23,8 @@ options::options(int argc, const char* const* argv) {
     const auto eq = tok.find('=');
     if (eq != std::string::npos) {
       values_[tok.substr(0, eq)] = tok.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (!is_flag(tok) && i + 1 < argc &&
+               std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values_[tok] = argv[++i];
     } else {
       values_[tok] = "true";  // boolean flag form

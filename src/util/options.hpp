@@ -4,12 +4,16 @@
 // key is stored as given: there is no registry of known names, so a typo'd
 // or unsupported option is silently ignored unless the consumer checks for
 // it with has() (traversal_options::from_flags does for removed flags).
+// Keys the caller names as flags never take the next token as their value
+// ("--sem g.agt" leaves g.agt positional); they accept "--flag=value".
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace asyncgt {
@@ -17,7 +21,9 @@ namespace asyncgt {
 class options {
  public:
   /// Parses argv. Throws std::invalid_argument on a malformed token.
-  options(int argc, const char* const* argv);
+  /// `flags` are the boolean options, which take no "--key value" form.
+  options(int argc, const char* const* argv,
+          std::initializer_list<std::string_view> flags = {});
 
   bool has(const std::string& key) const;
 

@@ -1,14 +1,16 @@
 // Reads ahead (docs/visitor_queue.md, docs/io_backends.md): a traversal
 // lane books the device reads of several popped visitors before it sleeps
-// on the earliest one, so one lane keeps up to ceil(channels / lanes) reads
-// in flight. These tests hold the pipelined path to the blocking one:
+// on the earliest one, so each lane keeps up to ceil(2 x channels / lanes)
+// reads in flight and the lanes together about two per channel. These
+// tests hold the pipelined path to the blocking one:
 //   * ssd_model::begin_read/end_read overlap from one thread and book the
 //     same counters as read();
 //   * BFS, SSSP (weighted: two ranges per read) and CC labels equal the
 //     serial baselines across lanes x cache x heat x backend, with
 //     visits == pushes;
 //   * every expanded adjacency is charged exactly once;
-//   * a single lane keeps more than one read in flight;
+//   * a single lane keeps more reads in flight than the device has
+//     channels, and several lanes stay within their shared bound;
 //   * an abort with reads pending (an injected media error, a deadline, a
 //     cancel) leaves the device queue empty and the engine reusable.
 #include <gtest/gtest.h>
@@ -206,8 +208,24 @@ TEST_F(SemPipelineGraphs, OneLaneKeepsSeveralReadsInFlight) {
   sem::sem_csr32 sg(path, &dev);
   const auto r = async_bfs(sg, vertex32{0}, cfg(1));
   EXPECT_EQ(r.level, serial_bfs(g, vertex32{0}).level);
-  EXPECT_GT(dev.counters().max_inflight, 1u);
-  EXPECT_LE(dev.counters().max_inflight, 8u);
+  // Depth ceil(2 x 8 / 1): a queued read behind every channel's read.
+  EXPECT_GT(dev.counters().max_inflight, 8u);
+  EXPECT_LE(dev.counters().max_inflight, 16u);
+  EXPECT_EQ(dev.inflight(), 0u);
+}
+
+TEST_F(SemPipelineGraphs, ThreeLanesKeepAboutTwoReadsPerChannel) {
+  const csr32 g = rmat_graph<vertex32>(rmat_a(10, 3));
+  const std::string path = write_tmp(g, "three_lanes");
+  sem::ssd_model dev(test_device(8, 200.0));
+  sem::sem_csr32 sg(path, &dev);
+  const auto r = async_bfs(sg, vertex32{0}, cfg(3));
+  EXPECT_EQ(r.level, serial_bfs(g, vertex32{0}).level);
+  // Each lane holds at most ceil(2 x 8 / 3) = 6 reads, one per visitor on
+  // an unweighted graph: the total exceeds one read per channel (at most
+  // 3 x ceil(8 / 3) = 9) and stays near two per channel.
+  EXPECT_GT(dev.counters().max_inflight, 9u);
+  EXPECT_LE(dev.counters().max_inflight, 3u * 6u);
   EXPECT_EQ(dev.inflight(), 0u);
 }
 

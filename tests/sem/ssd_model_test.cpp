@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,22 @@ ssd_params fast_test_device(std::uint32_t channels, double latency_us) {
   p.write_latency_us = latency_us * 3;
   p.channels = channels;
   return p;
+}
+
+/// One read through begin_read, waited out and ended. Returns the booked
+/// deadline minus the clock just before and just after the call: on a free
+/// channel the service time lies between the two, however late the host
+/// runs this thread.
+struct booked_read {
+  ssd_model::clock::duration upper, lower;
+};
+booked_read book_one_read(ssd_model& dev) {
+  const auto before = ssd_model::clock::now();
+  const auto deadline = dev.begin_read(64);
+  const auto after = ssd_model::clock::now();
+  std::this_thread::sleep_until(deadline);
+  dev.end_read();
+  return {deadline - before, deadline - after};
 }
 
 TEST(SsdModel, InvalidParamsRejected) {
@@ -51,14 +68,22 @@ TEST(SsdModel, CountsRequests) {
 
 TEST(SsdModel, SingleThreadSeesServiceLatency) {
   constexpr double kLatencyUs = 2000.0;
-  ssd_model dev(fast_test_device(8, kLatencyUs));
-  wall_timer t;
+  constexpr auto kService = std::chrono::microseconds(2000);
   constexpr int kReads = 10;
+  ssd_model dev(fast_test_device(8, kLatencyUs));
+  // The booked deadlines carry the exact service time.
+  for (int i = 0; i < kReads; ++i) {
+    const booked_read b = book_one_read(dev);
+    EXPECT_GE(b.upper, kService);
+    EXPECT_LE(b.lower, kService);
+  }
+  // One thread cannot exploit channel parallelism: read() really waits at
+  // least the service time each call. Only a lower bound holds on a loaded
+  // host.
+  wall_timer t;
   for (int i = 0; i < kReads; ++i) dev.read(64);
   const double per_read_us = t.elapsed_seconds() * 1e6 / kReads;
-  // One thread cannot exploit channel parallelism: >= the service time.
   EXPECT_GE(per_read_us, kLatencyUs * 0.95);
-  EXPECT_LE(per_read_us, kLatencyUs * 3.0);  // generous OS-jitter headroom
 }
 
 TEST(SsdModel, ThroughputScalesWithThreadsUntilChannelLimit) {
@@ -91,14 +116,23 @@ TEST(SsdModel, ThroughputScalesWithThreadsUntilChannelLimit) {
 }
 
 TEST(SsdModel, WritesSlowerThanReads) {
+  constexpr int kOps = 5;
+  constexpr auto kReadService = std::chrono::microseconds(1500);
   ssd_model dev(fast_test_device(1, 1500.0));
+  // Reads: the booked service times, summed from below.
+  ssd_model::clock::duration read_time{};
+  for (int i = 0; i < kOps; ++i) {
+    const booked_read b = book_one_read(dev);
+    EXPECT_GE(b.upper, kReadService);
+    EXPECT_LE(b.lower, kReadService);
+    read_time += b.lower;
+  }
+  // Writes: wall time, which the host can only stretch, never shorten.
   wall_timer t;
-  for (int i = 0; i < 5; ++i) dev.read(64);
-  const double read_time = t.elapsed_seconds();
-  t.reset();
-  for (int i = 0; i < 5; ++i) dev.write(64);
-  const double write_time = t.elapsed_seconds();
-  EXPECT_GT(write_time, read_time * 1.5);  // 3x asymmetry configured
+  for (int i = 0; i < kOps; ++i) dev.write(64);
+  const double write_s = t.elapsed_seconds();
+  const double read_s = std::chrono::duration<double>(read_time).count();
+  EXPECT_GT(write_s, read_s * 1.5);  // 3x asymmetry configured
 }
 
 TEST(SsdModel, TimeScaleCompressesLatency) {
@@ -109,13 +143,17 @@ TEST(SsdModel, TimeScaleCompressesLatency) {
                    ssd_model(slow).params().plateau_iops() * 4.0);
   ssd_model dev_fast(fast);
   ssd_model dev_slow(slow);
+  // Booked service times: 4 ms unscaled, 1 ms at time scale 0.25.
+  const booked_read s = book_one_read(dev_slow);
+  EXPECT_GE(s.upper, std::chrono::microseconds(4000));
+  EXPECT_LE(s.lower, std::chrono::microseconds(4000));
+  const booked_read f = book_one_read(dev_fast);
+  EXPECT_GE(f.upper, std::chrono::microseconds(1000));
+  EXPECT_LE(f.lower, std::chrono::microseconds(1000));
+  // The scaled device's read() still waits out its (shorter) service time.
   wall_timer t;
-  for (int i = 0; i < 5; ++i) dev_slow.read(64);
-  const double slow_time = t.elapsed_seconds();
-  t.reset();
-  for (int i = 0; i < 5; ++i) dev_fast.read(64);
-  const double fast_time = t.elapsed_seconds();
-  EXPECT_LT(fast_time, slow_time * 0.6);
+  dev_fast.read(64);
+  EXPECT_GE(t.elapsed_seconds(), 1000e-6 * 0.95);
 }
 
 TEST(DevicePresets, PlateausMatchPaperFigure1) {

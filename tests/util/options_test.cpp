@@ -5,10 +5,11 @@
 namespace asyncgt {
 namespace {
 
-options parse(std::initializer_list<const char*> args) {
+options parse(std::initializer_list<const char*> args,
+              std::initializer_list<std::string_view> flags = {}) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return options(static_cast<int>(argv.size()), argv.data());
+  return options(static_cast<int>(argv.size()), argv.data(), flags);
 }
 
 TEST(Options, EqualsForm) {
@@ -27,6 +28,21 @@ TEST(Options, BooleanFlagForm) {
   EXPECT_TRUE(o.get_bool("verbose", false));
   EXPECT_TRUE(o.has("verbose"));
   EXPECT_FALSE(o.has("quiet"));
+}
+
+TEST(Options, NamedFlagLeavesNextTokenPositional) {
+  // `agt_tool bfs --sem g.agt`: the flag must not swallow the file name.
+  const auto o = parse({"bfs", "--sem", "g.agt", "--threads", "4"}, {"sem"});
+  EXPECT_TRUE(o.get_bool("sem", false));
+  ASSERT_EQ(o.positional().size(), 2u);
+  EXPECT_EQ(o.positional()[1], "g.agt");
+  EXPECT_EQ(o.get_int("threads", 0), 4);
+}
+
+TEST(Options, NamedFlagTakesEqualsForm) {
+  const auto o = parse({"--sem=false", "g.agt"}, {"sem"});
+  EXPECT_FALSE(o.get_bool("sem", true));
+  ASSERT_EQ(o.positional().size(), 1u);
 }
 
 TEST(Options, FallbacksWhenAbsent) {

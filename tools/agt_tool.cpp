@@ -1229,7 +1229,10 @@ int cmd_verify_json(const options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const asyncgt::options opt(argc, argv);
+  // Boolean options: "--sem g.agt" must leave g.agt a positional argument.
+  const asyncgt::options opt(argc, argv,
+                             {"sem", "hybrid", "undirected", "out-of-core",
+                              "verify", "compact", "mix-priority"});
   if (opt.positional().empty()) return usage();
   const std::string& cmd = opt.positional()[0];
   try {
