@@ -164,7 +164,6 @@ int main(int argc, char** argv) {
     const std::uint64_t plain_inspected = plain.stats.pushes;
 
     traversal_options topt(cfg);
-    topt.hybrid = true;
     topt.hybrid_alpha = opt.get_double("hybrid-alpha", topt.hybrid_alpha);
     topt.hybrid_beta = opt.get_double("hybrid-beta", topt.hybrid_beta);
     bfs_result<vertex32> hyb;

@@ -1,15 +1,15 @@
 // Example: checkpoint / resume of a semi-external traversal.
 //
 // Long-running SEM jobs (the paper's biggest rows run for hours) should
-// survive crashes. This example runs an SSSP over on-disk storage, saves a
-// checkpoint "mid-flight" (simulated by snapshotting a partially erased
-// label array), kills the fictional job, reloads the CRC-verified snapshot,
-// resumes, and proves the resumed result equals an uninterrupted run.
+// survive storage failures. This example runs an SSSP over on-disk
+// storage, runs it again on storage that fails mid-run with
+// traversal_options::checkpoint_path set (checkpoint on error), reloads
+// the CRC-verified snapshot the aborted job wrote, resumes, and proves the
+// resumed result equals the uninterrupted run.
 //
 //   ./checkpoint_resume [--scale=12] [--threads=32]
 #include <cstdio>
 #include <filesystem>
-#include <random>
 
 #include "asyncgt.hpp"
 #include "baselines/serial_sssp.hpp"
@@ -41,31 +41,37 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(full.visited_count()),
               full.stats.elapsed_seconds);
 
-  // 2. Simulate a crash mid-run: snapshot with ~60%% of the labels lost.
-  traversal_checkpoint<vertex32> snap;
-  snap.kind = checkpoint_kind::sssp;
-  snap.label = full.dist;
-  snap.parent = full.parent;
-  std::mt19937 rng(7);
-  std::uint64_t kept = 0;
-  for (std::size_t v = 1; v < snap.label.size(); ++v) {
-    if (rng() % 5 < 3) {
-      snap.label[v] = infinite_distance<dist_t>;
-      snap.parent[v] = invalid_vertex<vertex32>;
-    } else if (snap.label[v] != infinite_distance<dist_t>) {
-      ++kept;
-    }
+  // 2. The same job on storage that fails mid-run: a fatal read error
+  //    aborts it, and because its options name a checkpoint path the job
+  //    writes its partial labels there before the error reaches us.
+  sem::fault_config faults;
+  faults.p_eio = 0.02;
+  faults.fatal = true;
+  faults.seed = 7;
+  sem::fault_injector injector(faults);
+  sem::sem_csr32 failing(graph_path, &dev);
+  failing.set_fault_injector(&injector);
+  traversal_options topt(cfg);
+  topt.checkpoint_path = ckpt_path;
+  try {
+    async_sssp(failing, vertex32{0}, topt);
+    std::printf("the injected fault never fired\n");
+    return 1;
+  } catch (const traversal_aborted& e) {
+    std::printf("job aborted: %s\n", e.what());
   }
-  save_checkpoint(ckpt_path, snap);
-  std::printf("checkpoint: kept %llu finished labels, %llu bytes, CRC "
+
+  // 3. "Restart": load and CRC-verify the snapshot, then resume on healthy
+  //    storage. The resume is an engine job like any other.
+  const auto loaded =
+      load_checkpoint<vertex32>(ckpt_path, checkpoint_kind::sssp);
+  std::uint64_t kept = 0;
+  for (const dist_t d : loaded.label) kept += d != infinite_distance<dist_t>;
+  std::printf("checkpoint: %llu labelled vertices, %llu bytes, CRC "
               "protected\n",
               static_cast<unsigned long long>(kept),
               static_cast<unsigned long long>(
                   std::filesystem::file_size(ckpt_path)));
-
-  // 3. "Restart": load, verify, resume on fresh storage handles.
-  const auto loaded =
-      load_checkpoint<vertex32>(ckpt_path, checkpoint_kind::sssp);
   sem::ssd_model dev2(sem::fusionio_params(/*time_scale=*/0.05));
   sem::sem_csr32 sg2(graph_path, &dev2);
   const auto resumed = resume_sssp(sg2, loaded, cfg);

@@ -378,11 +378,7 @@ bfs_result<typename Graph::vertex_id> hybrid_bfs(
   detail::hybrid_record_metrics(cfg.metrics, detail_out, "hybrid_bfs");
   if (extra != nullptr) *extra = std::move(detail_out);
 
-  bfs_result<V> out;
-  out.level = std::move(s.level);
-  out.parent = std::move(s.parent);
-  out.stats = std::move(agg);
-  out.updates = s.updates.total();
+  auto out = bfs_result<V>::finish(s, std::move(agg));
   if (cfg.metrics != nullptr) out.work().record(*cfg.metrics, "hybrid_bfs");
   return out;
 }
@@ -545,10 +541,7 @@ cc_result<typename Graph::vertex_id> hybrid_cc(const Graph& g,
   detail::hybrid_record_metrics(cfg.metrics, detail_out, "hybrid_cc");
   if (extra != nullptr) *extra = std::move(detail_out);
 
-  cc_result<V> out;
-  out.component = std::move(s.ccid);
-  out.stats = std::move(agg);
-  out.updates = s.updates.total();
+  auto out = cc_result<V>::finish(s, std::move(agg));
   if (cfg.metrics != nullptr) out.work().record(*cfg.metrics, "hybrid_cc");
   return out;
 }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -109,10 +111,18 @@ struct traversal_work {
 
 template <typename VertexId>
 struct bfs_result {
+  using vertex_id = VertexId;
   std::vector<dist_t> level;     // infinite_distance<dist_t> = unreached
   std::vector<VertexId> parent;  // invalid_vertex = none
   queue_run_stats stats;
   std::uint64_t updates = 0;  // successful label corrections
+
+  /// The one place a BFS result is built, from a finished run's state.
+  template <typename State>
+  static bfs_result finish(State& s, queue_run_stats stats) {
+    return {std::move(s.level), std::move(s.parent), std::move(stats),
+            s.updates.total()};
+  }
 
   std::uint64_t visited_count() const {
     std::uint64_t n = 0;
@@ -142,10 +152,18 @@ struct bfs_result {
 
 template <typename VertexId>
 struct sssp_result {
+  using vertex_id = VertexId;
   std::vector<dist_t> dist;
   std::vector<VertexId> parent;
   queue_run_stats stats;
   std::uint64_t updates = 0;
+
+  /// The one place an SSSP result is built, from a finished run's state.
+  template <typename State>
+  static sssp_result finish(State& s, queue_run_stats stats) {
+    return {std::move(s.dist), std::move(s.parent), std::move(stats),
+            s.updates.total()};
+  }
 
   std::uint64_t visited_count() const {
     std::uint64_t n = 0;
@@ -166,9 +184,16 @@ struct sssp_result {
 
 template <typename VertexId>
 struct cc_result {
+  using vertex_id = VertexId;
   std::vector<VertexId> component;  // smallest reachable vertex id
   queue_run_stats stats;
   std::uint64_t updates = 0;
+
+  /// The one place a CC result is built, from a finished run's state.
+  template <typename State>
+  static cc_result finish(State& s, queue_run_stats stats) {
+    return {std::move(s.ccid), std::move(stats), s.updates.total()};
+  }
 
   /// Number of distinct components (paper Table III "# CCs"). A vertex is a
   /// component root iff component[v] == v.
@@ -200,6 +225,38 @@ struct cc_result {
     w.derive();
     return w;
   }
+};
+
+/// One seed visitor of a label-correcting run: a candidate `label` for
+/// `vertex`, reached from `from`. BFS and SSSP read `from` as the parent and
+/// `label` as the level or distance; CC reads `from` as the candidate
+/// component id and ignores `label`.
+template <typename VertexId>
+struct label_seed {
+  VertexId vertex{};
+  VertexId from{};
+  dist_t label = 0;
+};
+
+/// What a BFS, SSSP or CC job starts from (engine::submit_bfs/sssp/cc).
+/// Labels only fall toward one fixed point, so a fresh run, a resume from a
+/// checkpoint and an incremental repair are the same operation: install
+/// labels, push seeds, run to quiescence.
+template <typename Result>
+struct seeded_run {
+  using vertex_id = typename Result::vertex_id;
+  /// Labels installed before the run; left empty, every vertex starts
+  /// unlabelled (a CC run then seeds every vertex with its own id).
+  Result prior{};
+  /// Seed visitors, pushed on the submitting thread.
+  std::vector<label_seed<vertex_id>> seeds{};
+  /// The job's label in job_stats, and the prefix of its work counters.
+  const char* label = "traversal";
+  /// Overlay epoch an incremental repair runs against (job_stats).
+  std::uint64_t delta_epoch = 0;
+  /// Runs on the completing worker before the result is built, when the
+  /// run reached quiescence.
+  std::function<void(const queue_run_stats&)> on_done{};
 };
 
 }  // namespace asyncgt

@@ -236,7 +236,9 @@ class traversal_engine {
     wall_timer timer;
     term_.reserve(static_cast<std::int64_t>(num_vertices));
     arm();
-    if (num_vertices == 0 && !term_.abort_requested()) {
+    // Visitors pushed before the run count too: with no per-vertex seeds
+    // this is run_async.
+    if (term_.pending() == 0 && !term_.abort_requested()) {
       finish_async(timer, done);
       return;
     }

@@ -128,15 +128,14 @@ class sem_config {
 
   /// Bridge from traversal_options (or anything shaped like it — duck
   /// typed so sem never includes the service layer). Picks up the retry /
-  /// backend knobs and cache_fraction, and hybrid requests the reverse
-  /// view. A negative cache_fraction means "caller decides" and leaves the
-  /// builder's current value alone.
+  /// backend knobs and cache_fraction; a caller that needs the reverse view
+  /// asks for it with with_reverse. A negative cache_fraction means "caller
+  /// decides" and leaves the builder's current value alone.
   template <typename Topt>
   static sem_config from_options(const Topt& t, std::string path) {
     sem_config c(std::move(path));
     c.with_io_backend(t.io_backend, t.io_batch)
-        .with_retries(t.io_retries, t.io_backoff_us)
-        .with_reverse(t.hybrid);
+        .with_retries(t.io_retries, t.io_backoff_us);
     if (t.cache_fraction >= 0.0) c.with_cache_fraction(t.cache_fraction);
     return c;
   }

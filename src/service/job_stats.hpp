@@ -119,8 +119,8 @@ struct job_scope_state {
   std::uint32_t stall_grace_ms = 0;
   int priority = 0;
   std::uint64_t memory_estimate_bytes = 0;
-  // Overlay epoch for incremental repair jobs; set by the submit_incremental_*
-  // entry points between make_typed_job and job launch (same
+  // Overlay epoch for incremental repair jobs; copied from
+  // seeded_run::delta_epoch between make_typed_job and job launch (same
   // written-once-before-visible discipline as the fields above).
   std::uint64_t delta_epoch = 0;
 

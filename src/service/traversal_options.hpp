@@ -56,15 +56,11 @@ struct traversal_options {
   /// calibrated per-table values). Ignored by in-memory runs.
   double cache_fraction = -1.0;
 
-  /// Frontier-adaptive hybrid traversal (docs/hybrid_traversal.md). When
-  /// set, BFS/CC drivers that support it flip from asynchronous top-down
-  /// pushes into synchronous bottom-up sweeps over the unvisited vertices'
-  /// in-edges once the frontier grows dense, then back. Requires the graph
-  /// to carry a reverse view (csr_graph::ensure_reverse / sem_csr::
-  /// open_reverse). The alpha/beta thresholds follow Beamer et al.'s
+  /// Direction-switch thresholds of the frontier-adaptive hybrid drivers
+  /// (hybrid_bfs / hybrid_cc, docs/hybrid_traversal.md), which need a
+  /// reverse view on the graph. They follow Beamer et al.'s
   /// direction-optimizing formulation: go bottom-up when frontier_edges *
   /// alpha > unvisited_edges; stay while frontier_vertices * beta > n.
-  bool hybrid = false;
   double hybrid_alpha = 14.0;
   double hybrid_beta = 24.0;
 
@@ -88,6 +84,11 @@ struct traversal_options {
   /// memory_budget_bytes guardrail; 0 = unaccounted. Callers typically pass
   /// graph.resident_bytes() (+ cache share for SEM runs).
   std::uint64_t memory_estimate_bytes = 0;
+
+  /// Checkpoint on error (docs/robustness.md): a BFS or SSSP job that
+  /// aborts writes its partial labels here before the error is delivered.
+  /// Empty = off; every other job rejects a path at submit.
+  std::string checkpoint_path;
 
   traversal_options() = default;
   /// Implicit on purpose: every pre-service call site passes a
@@ -139,14 +140,13 @@ struct traversal_options {
   ///                      (default priority)
   ///   --cache-fraction=F page-cache size as a fraction of the file's
   ///                      blocks (default: tool/bench-specific)
-  ///   --hybrid           frontier-adaptive direction switching (default
-  ///                      off; needs a reverse view on the graph)
   ///   --hybrid-alpha=X   top-down -> bottom-up threshold (default 14)
   ///   --hybrid-beta=X    bottom-up -> top-down threshold (default 24)
   ///   --deadline-ms=N    per-job wall-clock budget (default 0 = none)
   ///   --stall-grace-ms=N no-progress window before a running job is
   ///                      declared stalled (default 0 = off)
   ///   --priority=P       admission priority: low | normal | high | int
+  ///   --checkpoint-on-error=F  BFS/SSSP: snapshot the labels to F on abort
   /// `sem_mode` selects the SEM defaults (flush batch, secondary sort).
   /// The option parser stores any key, so the flags of the removed
   /// hot-block scheduler (--cache-policy, --prefetch-hot, --hot-threshold)
@@ -187,13 +187,13 @@ struct traversal_options {
                                   " (expected priority|fifo|lifo)");
     }
     o.cache_fraction = opt.get_double("cache-fraction", o.cache_fraction);
-    o.hybrid = opt.get_bool("hybrid", false);
     o.hybrid_alpha = opt.get_double("hybrid-alpha", o.hybrid_alpha);
     o.hybrid_beta = opt.get_double("hybrid-beta", o.hybrid_beta);
     o.deadline_ms = static_cast<std::uint32_t>(
         opt.get_int("deadline-ms", static_cast<std::int64_t>(o.deadline_ms)));
     o.stall_grace_ms = static_cast<std::uint32_t>(opt.get_int(
         "stall-grace-ms", static_cast<std::int64_t>(o.stall_grace_ms)));
+    o.checkpoint_path = opt.get_string("checkpoint-on-error", "");
     const std::string prio = opt.get_string("priority", "");
     if (!prio.empty() && !service::parse_priority(prio, o.priority)) {
       throw std::invalid_argument("bad --priority value: " + prio);

@@ -224,10 +224,9 @@ bool check_percentiles(const json_value& v, const std::string& where,
 bool report::verify(const json_value& doc, std::string* error) {
   if (!doc.is_object()) return fail(error, "document is not a JSON object");
   const json_value* ver = doc.find("schema_version");
-  if (ver == nullptr || !ver->is_int() ||
-      (ver->as_int() != 1 && ver->as_int() != 2 &&
-       ver->as_int() != schema_version)) {
-    return fail(error, "schema_version must be the integer 1, 2 or 3");
+  if (ver == nullptr || !ver->is_int() || ver->as_int() != schema_version) {
+    return fail(error, "schema_version must be the integer " +
+                           std::to_string(schema_version));
   }
   const json_value* name = doc.find("name");
   if (name == nullptr || !name->is_string() || name->as_string().empty()) {

@@ -220,7 +220,6 @@ TEST_P(Differential, HybridBfsMatchesAsync) {
                     [&](const auto& g) { return async_bfs(g, vertex32{0},
                                                           cfg()); });
         traversal_options topt(cfg());
-        topt.hybrid = true;
         topt.hybrid_alpha = k.alpha;
         topt.hybrid_beta = k.beta;
         hybrid_extra extra;
@@ -254,7 +253,6 @@ TEST_P(Differential, HybridCcMatchesAsync) {
             on_mode(fam.graph, fam.name + "_hca" + std::to_string(seed),
                     [&](const auto& g) { return async_cc(g, cfg()); });
         traversal_options topt(cfg());
-        topt.hybrid = true;
         topt.hybrid_alpha = k.alpha;
         topt.hybrid_beta = k.beta;
         hybrid_extra extra;

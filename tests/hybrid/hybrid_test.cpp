@@ -38,7 +38,6 @@ visitor_queue_config small_cfg() {
 
 traversal_options hybrid_opts(double alpha, double beta) {
   traversal_options o(small_cfg());
-  o.hybrid = true;
   o.hybrid_alpha = alpha;
   o.hybrid_beta = beta;
   return o;
@@ -227,7 +226,6 @@ TEST(HybridOptions, FromFlagsParsesKnobs) {
                         "--hybrid-beta=9"};
   const options opt(4, argv);
   const auto o = traversal_options::from_flags(opt);
-  EXPECT_TRUE(o.hybrid);
   EXPECT_DOUBLE_EQ(o.hybrid_alpha, 3.5);
   EXPECT_DOUBLE_EQ(o.hybrid_beta, 9.0);
 }
@@ -236,7 +234,6 @@ TEST(HybridOptions, FromFlagsDefaultsOff) {
   const char* argv[] = {"prog"};
   const options opt(1, argv);
   const auto o = traversal_options::from_flags(opt);
-  EXPECT_FALSE(o.hybrid);
   EXPECT_DOUBLE_EQ(o.hybrid_alpha, 14.0);
   EXPECT_DOUBLE_EQ(o.hybrid_beta, 24.0);
 }

@@ -47,6 +47,14 @@ class FaultSoak : public ::testing::Test {
     return cfg;
   }
 
+  /// Options of a job that checkpoints on error to `path`.
+  static traversal_options checkpointing(std::size_t n,
+                                         const std::string& path) {
+    traversal_options o(threads(n));
+    o.checkpoint_path = path;
+    return o;
+  }
+
   /// Microsecond backoff so thousands of injected faults soak in well
   /// under a second of wall clock.
   static sem::io_retry_policy fast_retry(std::uint32_t max_retries) {
@@ -209,7 +217,7 @@ TEST_F(FaultSoak, CheckpointOnErrorResumesToIdenticalFixedPoint) {
   sem::sem_csr32 faulty_g(path);
   faulty_g.set_retry_policy(fast_retry(2));
   faulty_g.set_fault_injector(&inj);
-  EXPECT_THROW(async_bfs_checkpointed(faulty_g, vertex32{0}, ckpt, threads(8)),
+  EXPECT_THROW(async_bfs(faulty_g, vertex32{0}, checkpointing(8, ckpt)),
                traversal_aborted);
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
@@ -238,9 +246,8 @@ TEST_F(FaultSoak, SsspCheckpointOnErrorResumes) {
   sem::sem_csr32 faulty_g(path);
   faulty_g.set_retry_policy(fast_retry(2));
   faulty_g.set_fault_injector(&inj);
-  EXPECT_THROW(
-      async_sssp_checkpointed(faulty_g, vertex32{0}, ckpt, threads(8)),
-      traversal_aborted);
+  EXPECT_THROW(async_sssp(faulty_g, vertex32{0}, checkpointing(8, ckpt)),
+               traversal_aborted);
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
   const auto cp = load_checkpoint<vertex32>(ckpt, checkpoint_kind::sssp);
@@ -261,12 +268,51 @@ TEST_F(FaultSoak, TornEmergencyCheckpointFailsCrcOnLoad) {
   sem::fault_injector inj(cfg);
   sem::sem_csr32 sg(path);
   sg.set_fault_injector(&inj);
-  EXPECT_THROW(async_bfs_checkpointed(sg, vertex32{0}, ckpt, threads(4)),
+  EXPECT_THROW(async_bfs(sg, vertex32{0}, checkpointing(4, ckpt)),
                traversal_aborted);
   ASSERT_TRUE(std::filesystem::exists(ckpt));
   std::filesystem::resize_file(ckpt, std::filesystem::file_size(ckpt) - 32);
   EXPECT_THROW(load_checkpoint<vertex32>(ckpt, checkpoint_kind::bfs),
                std::runtime_error);
+}
+
+// A resumed run is an engine job like any other: it honours its deadline.
+// Here the device wedges on every read, so only the watchdog can end the
+// resume, and the service counters still conserve.
+TEST_F(FaultSoak, ResumedBfsOnAStallingDeviceEndsAtItsDeadline) {
+  const csr32 g = rmat_graph<vertex32>(rmat_a(8));
+  const std::string path = write_sem(g, "stall");
+  traversal_checkpoint<vertex32> cp;
+  cp.kind = checkpoint_kind::bfs;
+  cp.label.assign(g.num_vertices(), infinite_distance<dist_t>);
+  cp.parent.assign(g.num_vertices(), invalid_vertex<vertex32>);
+  cp.label[0] = 0;
+  cp.parent[0] = 0;
+
+  sem::fault_config cfg;
+  cfg.p_stall = 1.0;
+  sem::fault_injector inj(cfg);
+  sem::sem_csr32 sg(path);
+  sg.set_fault_injector(&inj);
+  engine eng({.pool_threads = 4});
+  traversal_options opts(threads(4));
+  opts.deadline_ms = 100;
+  auto j = eng.submit_bfs(sg, resume_run<bfs_result<vertex32>>(sg, cp), opts);
+  try {
+    j.get();
+    FAIL() << "expected traversal_aborted";
+  } catch (const traversal_aborted& e) {
+    EXPECT_EQ(e.reason(), abort_reason::deadline_exceeded);
+  }
+  EXPECT_EQ(j.stats().outcome, "deadline_exceeded");
+  EXPECT_EQ(j.stats().label, "resume_bfs");
+  EXPECT_GT(inj.counters().stalls, 0u);
+  const auto c = eng.counters();
+  EXPECT_EQ(c.submitted, 1u);
+  EXPECT_EQ(c.deadline_exceeded, 1u);
+  EXPECT_EQ(c.submitted, c.rejected + c.active + c.completed + c.failed +
+                             c.cancelled + c.deadline_exceeded + c.stalled +
+                             c.shed);
 }
 
 }  // namespace

@@ -109,7 +109,6 @@ TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {
     std::uint32_t io_batch = 16;
     std::uint32_t io_retries = 7;
     std::uint32_t io_backoff_us = 10;
-    bool hybrid = false;
     double cache_fraction = -1.0;
   } t;
 

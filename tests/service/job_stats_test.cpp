@@ -142,6 +142,59 @@ TEST(JobStats, RecentJobsRingRetainsTheLastNAndEvictsTheOldest) {
   }
 }
 
+// Resumed and incremental jobs are seeded runs through the same engine
+// path as fresh ones: each lands in the completed-job ring under its
+// label, an incremental repair with the overlay epoch it ran against, and
+// each records its work counters under its label.
+TEST(JobStats, ResumedAndIncrementalJobsShowInRecentJobs) {
+  telemetry::metrics_registry reg(8);
+  engine eng({.pool_threads = 4, .defaults = threads(2).with_metrics(&reg)});
+  csr32 g = add_weights(rmat_graph_undirected<vertex32>(rmat_a(8, 3)),
+                        weight_scheme::uniform, 3);
+  g.ensure_reverse();
+
+  // Resume from a snapshot that kept every other label.
+  const auto full = serial_bfs(g, vertex32{0});
+  traversal_checkpoint<vertex32> cp;
+  cp.kind = checkpoint_kind::bfs;
+  cp.label = full.level;
+  cp.parent = full.parent;
+  for (std::size_t v = 1; v < cp.label.size(); v += 2) {
+    cp.label[v] = infinite_distance<dist_t>;
+    cp.parent[v] = invalid_vertex<vertex32>;
+  }
+  EXPECT_EQ(
+      eng.submit_bfs(g, resume_run<bfs_result<vertex32>>(g, cp)).get().level,
+      full.level);
+
+  // Repair SSSP and CC over one applied batch.
+  delta_overlay<csr32> ov(g);
+  auto sssp = eng.submit_sssp(ov.snapshot(), vertex32{0}).get();
+  auto cc = eng.submit_cc(ov.snapshot()).get();
+  delta_batch<vertex32> d;
+  d.insert_undirected(1, 2, 1).erase_undirected(0, g.neighbors(0)[0]);
+  ov.apply(d);
+  const auto view = ov.snapshot();
+  EXPECT_EQ(eng.submit_incremental_sssp(view, d, std::move(sssp)).get().dist,
+            dijkstra_sssp(view, vertex32{0}).dist);
+  EXPECT_EQ(eng.submit_incremental_cc(view, d, std::move(cc)).get().component,
+            serial_cc(view).component);
+
+  const auto recent = eng.recent_jobs();
+  ASSERT_EQ(recent.size(), 5u);
+  EXPECT_EQ(recent[0].label, "resume_bfs");
+  EXPECT_EQ(recent[0].outcome, "completed");
+  EXPECT_EQ(recent[0].delta_epoch, 0u);
+  EXPECT_EQ(recent[3].label, "incremental_sssp");
+  EXPECT_EQ(recent[3].delta_epoch, 1u);
+  EXPECT_EQ(recent[4].label, "incremental_cc");
+  EXPECT_EQ(recent[4].delta_epoch, 1u);
+  EXPECT_EQ(reg.get_counter("resume_bfs.visits").total(), recent[0].visits);
+  EXPECT_GT(recent[0].visits, 0u);
+  EXPECT_EQ(reg.get_counter("incremental_cc.visits").total(),
+            recent[4].visits);
+}
+
 TEST(JobStats, ZeroRingDisablesRetention) {
   engine::config c;
   c.pool_threads = 4;

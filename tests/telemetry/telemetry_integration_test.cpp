@@ -189,31 +189,45 @@ TEST(TelemetryIntegration, VerifyRejectsNonConformingDocuments) {
       R"({"schema_version":4,"name":"x","config":{},"sections":{}})",
       &error));
   EXPECT_FALSE(telemetry::report::verify_text(
-      R"({"schema_version":1,"name":"","config":{},"sections":{}})",
+      R"({"schema_version":3,"name":"","config":{},"sections":{}})",
       &error));
   EXPECT_FALSE(telemetry::report::verify_text(
-      R"({"schema_version":1,"name":"x","config":{},"sections":{"s":3}})",
+      R"({"schema_version":3,"name":"x","config":{},"sections":{"s":3}})",
       &error));
-  // v2 additions: jobs must be an array of objects with integer job_ids,
-  // and percentile triples must be monotone.
+  // jobs must be an array of objects with integer job_ids, and percentile
+  // triples must be monotone.
   EXPECT_FALSE(telemetry::report::verify_text(
-      R"({"schema_version":2,"name":"x","config":{},"sections":{},"jobs":[3]})",
-      &error));
-  EXPECT_FALSE(telemetry::report::verify_text(
-      R"({"schema_version":2,"name":"x","config":{},"sections":{},"jobs":[{"label":"bfs"}]})",
+      R"({"schema_version":3,"name":"x","config":{},"sections":{},"jobs":[3]})",
       &error));
   EXPECT_FALSE(telemetry::report::verify_text(
-      R"({"schema_version":2,"name":"x","config":{},"sections":{"l":{"p50":9,"p95":5,"p99":10}}})",
+      R"({"schema_version":3,"name":"x","config":{},"sections":{},"jobs":[{"label":"bfs"}]})",
       &error));
-  // Both versions of a minimal conforming document pass.
+  EXPECT_FALSE(telemetry::report::verify_text(
+      R"({"schema_version":3,"name":"x","config":{},"sections":{"l":{"p50":9,"p95":5,"p99":10}}})",
+      &error));
+  // Minimal conforming documents pass.
   EXPECT_TRUE(telemetry::report::verify_text(
-      R"({"schema_version":1,"name":"x","config":{},"sections":{}})",
+      R"({"schema_version":3,"name":"x","config":{},"sections":{}})",
       &error))
       << error;
   EXPECT_TRUE(telemetry::report::verify_text(
-      R"({"schema_version":2,"name":"x","config":{},"sections":{"l":{"p50":1,"p95":2,"p99":3}},"jobs":[{"job_id":4}]})",
+      R"({"schema_version":3,"name":"x","config":{},"sections":{"l":{"p50":1,"p95":2,"p99":3}},"jobs":[{"job_id":4}]})",
       &error))
       << error;
+}
+
+// Only the version the library emits is read: v1 and v2 documents that are
+// otherwise well formed are rejected.
+TEST(TelemetryIntegration, VerifyRejectsSchemaVersionsOneAndTwo) {
+  for (const int version : {1, 2}) {
+    std::string error;
+    EXPECT_FALSE(telemetry::report::verify_text(
+        R"({"schema_version":)" + std::to_string(version) +
+            R"(,"name":"x","config":{},"sections":{}})",
+        &error))
+        << "version " << version;
+    EXPECT_NE(error.find("schema_version"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema check for bench-report JSON emitted via --json (schema v1/v2/v3).
+"""Schema check for bench-report JSON emitted via --json (schema v3).
 
 Mirrors telemetry::report::verify (src/telemetry/metrics_json.cpp) so CI and
 ad-hoc tooling can validate BENCH_*.json artifacts without building the C++
@@ -189,12 +189,12 @@ def check_incremental(section):
 
 
 def check(doc):
-    """Returns None if `doc` conforms to schema v1/v2/v3, else an error."""
+    """Returns None if `doc` conforms to schema v3, else an error."""
     if not isinstance(doc, dict):
         return "document is not a JSON object"
     version = doc.get("schema_version")
-    if isinstance(version, bool) or version not in (1, 2, 3):
-        return "schema_version must be the integer 1, 2 or 3"
+    if isinstance(version, bool) or version != 3:
+        return "schema_version must be the integer 3"
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         return "name must be a non-empty string"

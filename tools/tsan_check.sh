@@ -6,9 +6,10 @@
 # broadcast racing delivery/parking, injected-fault soak), and the
 # traversal-service battery (pooled gang dispatch, concurrent jobs over one
 # shared graph, cancellation racing the pool, per-job attribution
-# conservation under concurrent gangs), the checkpoint resume drivers
-# (raw visitor_queue runs of the BFS/SSSP visitors, whose sender-side
-# label reads run beside the owners' relaxed stores), the overload-safety battery
+# conservation under concurrent gangs), the checkpoint battery (cancelled
+# jobs writing their labels from the abort hook, resumed jobs whose
+# sender-side label reads run beside the owners' relaxed stores), the
+# overload-safety battery
 # (watchdog deadline/stall firing racing completion, admission decisions
 # from concurrent submitters, the 4x-oversubscribed mixed-priority mix —
 # docs/robustness.md), the differential battery
