@@ -135,11 +135,8 @@ int main(int argc, char** argv) {
       const auto devices = sem::all_device_presets(time_scale);
       for (std::size_t d = 0; d < devices.size(); ++d) {
         sem::ssd_model dev(devices[d]);
-        // One builder per device row: backend (--io-backend routes every
-        // adjacency read, docs/io_backends.md — labels must stay identical
-        // to the sync default, so the per-run correctness check doubles as
-        // the backend acceptance test), cache and retries all arrive
-        // through the shared parser.
+        // One builder per device row: cache and retries arrive through
+        // the shared parser.
         sem::sem_config scfg = sem::sem_config::from_options(topt, path);
         scfg.with_device(&dev).with_cache_fraction(cache_fraction);
         if (injector != nullptr) {

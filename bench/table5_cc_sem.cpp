@@ -111,9 +111,7 @@ int main(int argc, char** argv) {
     const auto devices = sem::all_device_presets(time_scale);
     for (std::size_t d = 0; d < devices.size(); ++d) {
       sem::ssd_model dev(devices[d]);
-      // One builder per device row (see table4_bfs_sem.cpp): --io-backend
-      // routes every adjacency read, and the per-run label check doubles as
-      // the backend acceptance test.
+      // One builder per device row (see table4_bfs_sem.cpp).
       sem::sem_config scfg = sem::sem_config::from_options(topt, path);
       scfg.with_device(&dev).with_cache_fraction(cache_fraction);
       if (injector != nullptr) {

@@ -28,7 +28,7 @@
 // traversal in flight across a concurrent apply() sees one consistent edge
 // set throughout. rebase() (compaction) is the only operation that must not
 // run concurrently with readers, the same "not while readers are in flight"
-// contract as sem_csr::set_io_backend.
+// contract as sem_csr::open_reverse.
 //
 // Compaction. materialize()/compact() rewrite the overlay into a clean
 // csr_graph with (dst, weight)-sorted adjacency — byte-identical, once

@@ -16,7 +16,7 @@
 // ordinary .agt file at reverse_path_for(path) ("<path>.rev") holding the
 // transpose (its out-edges are the main graph's in-edges). write_graph_with_
 // reverse emits both; sem_csr::open_reverse serves the reverse file through
-// the same io_backend / block_cache / block_heat seam as the main one, and
+// the same io_backend / block_cache / block_heat path as the main one, and
 // the in-memory readers rehydrate it via read_graph_with_reverse without
 // recomputing the transpose.
 #pragma once

@@ -32,11 +32,6 @@ bool block_cache::access(std::uint64_t block) {
   return false;
 }
 
-bool block_cache::contains(std::uint64_t block) const {
-  std::lock_guard lk(mu_);
-  return map_.find(block) != map_.end();
-}
-
 void block_cache::set_block_heat(block_heat* heat) noexcept {
   std::lock_guard lk(mu_);
   heat_ = heat;

@@ -53,12 +53,6 @@ class block_cache {
   /// inserts it as most recent, evicting the least recent block if full.
   bool access(std::uint64_t block);
 
-  /// Non-mutating residency probe: true iff `block` is currently tracked.
-  /// Does not refresh recency and does not count as a hit or miss — used by
-  /// the coalescing io_backend to trim speculative readahead at blocks the
-  /// simulated page cache would serve cheaply anyway.
-  bool contains(std::uint64_t block) const;
-
   /// Attaches a block-heat recorder (borrowed, nullable): every demand
   /// access then records the block and whether it missed — the same probe
   /// that decides the device charge. sem_csr::set_block_heat forwards here

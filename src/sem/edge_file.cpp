@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <stdexcept>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "sem/fault_injector.hpp"
 #include "telemetry/metric_scope.hpp"
@@ -152,9 +150,9 @@ void edge_file::read_at_raw(std::uint64_t offset, void* dst,
   bool short_pending = plan.short_len != 0;
 
   // The message spells out both the failing position and the original
-  // request [offset, +bytes): batch-split retries re-issue sub-ranges of a
-  // merged batch, and debugging them needs the request geometry, not just
-  // "N bytes failed" (see docs/io_backends.md).
+  // request [offset, +bytes): a failed block-window read is retried over
+  // the exact request, and debugging it needs the request geometry, not
+  // just "N bytes failed".
   const auto give_up = [&](int err) -> io_error {
     if (recorder_ != nullptr) recorder_->record_gave_up();
     return io_error("edge_file: pread '" + path_ + "' at offset " +
@@ -200,133 +198,6 @@ void edge_file::read_at_raw(std::uint64_t offset, void* dst,
       // a permanent storage-level failure, not a retry candidate.
       throw give_up(0);
     }
-    done += static_cast<std::uint64_t>(got);
-  }
-}
-
-bool edge_file::readv_at(std::uint64_t offset, const io_slice* slices,
-                         std::size_t n) const {
-  if (n == 0) return false;
-  if (n == 1) {
-    read_at(offset, slices[0].dst, slices[0].bytes);
-    return false;
-  }
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += slices[i].bytes;
-  if (total > size_ || offset > size_ - total) {
-    throw io_error("edge_file: batched read out of range in '" + path_ +
-                       "': [" + std::to_string(offset) + ", " +
-                       std::to_string(offset + total) + ") exceeds size " +
-                       std::to_string(size_),
-                   path_, offset, total, 0, 0);
-  }
-  try {
-    if (recorder_ != nullptr) {
-      wall_timer t;
-      readv_at_raw(offset, slices, n, total);
-      recorder_->record(total, t.elapsed_us());
-      return false;
-    }
-    readv_at_raw(offset, slices, n, total);
-    return false;
-  } catch (const io_error&) {
-    // Retries split the batch: the merged range failed permanently, so
-    // re-issue every slice on its own — all of them, so a bad slice doesn't
-    // poison the healthy ones staged after it. Only a slice whose own byte
-    // range is actually bad can still fail, and the first such failure
-    // (with that range's offset and length) is rethrown once the rest are
-    // done.
-    std::exception_ptr first_bad;
-    std::uint64_t pos = offset;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        read_at(pos, slices[i].dst, slices[i].bytes);
-      } catch (const io_error&) {
-        if (!first_bad) first_bad = std::current_exception();
-      }
-      pos += slices[i].bytes;
-    }
-    if (first_bad) std::rethrow_exception(first_bad);
-    return true;
-  }
-}
-
-void edge_file::readv_at_raw(std::uint64_t offset, const io_slice* slices,
-                             std::size_t n, std::uint64_t total) const {
-  fault_plan plan;
-  if (injector_ != nullptr) {
-    // One plan for the whole merged range: a batch is one device operation
-    // as far as the failure model is concerned.
-    plan = injector_->plan(offset, total);
-    if (plan.delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(plan.delay_us));
-    }
-    if (plan.stall) stall_until_released(*injector_, path_, offset);
-  }
-
-  std::uint64_t done = 0;
-  std::uint32_t failures = 0;
-  bool short_pending = plan.short_len != 0;
-  std::vector<struct iovec> iov;
-  iov.reserve(n);
-
-  const auto give_up = [&](int err) -> io_error {
-    // No record_gave_up here: readv_at's split fallback retries the slices
-    // individually, and only a slice that then fails for good records it.
-    return io_error("edge_file: preadv '" + path_ + "' at offset " +
-                        std::to_string(offset + done) + " (batch [" +
-                        std::to_string(offset) + ", +" +
-                        std::to_string(total) + "), " + std::to_string(n) +
-                        " slices) failed after " + std::to_string(failures) +
-                        " retries: " + errno_text(err),
-                    path_, offset, total, err, failures);
-  };
-
-  while (done < total) {
-    int err = 0;
-    ssize_t got;
-    if (failures < plan.fail_attempts) {
-      got = -1;
-      err = plan.err;
-    } else {
-      std::uint64_t want = total - done;
-      if (short_pending) {
-        want = std::min<std::uint64_t>(want, plan.short_len);
-      }
-      // Rebuild the iovec tail from the resume point: skip the slices the
-      // previous (possibly short) attempts already filled.
-      iov.clear();
-      std::uint64_t skip = done;
-      std::uint64_t budget = want;
-      for (std::size_t i = 0; i < n && budget > 0; ++i) {
-        if (skip >= slices[i].bytes) {
-          skip -= slices[i].bytes;
-          continue;
-        }
-        const std::uint64_t avail = slices[i].bytes - skip;
-        const std::uint64_t take = std::min(avail, budget);
-        iov.push_back({static_cast<char*>(slices[i].dst) + skip,
-                       static_cast<std::size_t>(take)});
-        budget -= take;
-        skip = 0;
-      }
-      got = ::preadv(fd_, iov.data(), static_cast<int>(iov.size()),
-                     static_cast<off_t>(offset + done));
-      err = got < 0 ? errno : 0;
-      if (err == EINTR) continue;
-      if (got > 0) short_pending = false;
-    }
-    if (got < 0) {
-      const bool injected = failures < plan.fail_attempts;
-      const bool transient =
-          is_transient_errno(err) && !(injected && plan.fatal);
-      if (!transient || failures >= retry_.max_retries) throw give_up(err);
-      ++failures;
-      if (recorder_ != nullptr) recorder_->record_retry();
-      backoff_sleep(retry_, failures);
-      continue;
-    }
-    if (got == 0) throw give_up(0);
     done += static_cast<std::uint64_t>(got);
   }
 }

@@ -23,13 +23,6 @@ namespace asyncgt::sem {
 
 class fault_injector;
 
-/// One destination of a batched (vectored) read: `bytes` land in `dst`.
-/// Slices of a readv_at batch are contiguous in the file by construction.
-struct io_slice {
-  void* dst = nullptr;
-  std::uint64_t bytes = 0;
-};
-
 class edge_file {
  public:
   edge_file() = default;
@@ -46,27 +39,11 @@ class edge_file {
   std::uint64_t size() const noexcept { return size_; }
   const std::string& path() const noexcept { return path_; }
 
-  /// Raw descriptor for io backends that submit their own reads (io_uring).
-  /// Borrowed: remains owned by this edge_file; -1 when not open.
-  int fd() const noexcept { return fd_; }
-
   /// Reads exactly `bytes` at `offset` into `dst` (loops over short reads,
   /// retries transient errnos per the retry policy). Throws io_error when
   /// the request exceeds the file size, on a fatal errno, or when the
   /// retry budget runs out.
   void read_at(std::uint64_t offset, void* dst, std::uint64_t bytes) const;
-
-  /// Batched read: fills `n` slices with consecutive bytes starting at
-  /// `offset` using one preadv per attempt (one merged range, one fault
-  /// plan, one recorder op). If the merged attempt fails permanently —
-  /// retry budget exhausted or a fatal errno — the batch is SPLIT: each
-  /// slice is re-issued independently through read_at, so a fault localized
-  /// to one slice's byte range fails only that slice (the thrown io_error
-  /// then carries that slice's offset and length, not the whole batch).
-  /// Returns true iff the batch had to be split; throws io_error exactly
-  /// when some slice cannot be read.
-  bool readv_at(std::uint64_t offset, const io_slice* slices,
-                std::size_t n) const;
 
   /// Attaches a telemetry recorder (borrowed, nullable): every read_at then
   /// reports its byte count and host-side pread latency, plus retry /
@@ -96,8 +73,6 @@ class edge_file {
   void close() noexcept;
   void read_at_raw(std::uint64_t offset, void* dst,
                    std::uint64_t bytes) const;
-  void readv_at_raw(std::uint64_t offset, const io_slice* slices,
-                    std::size_t n, std::uint64_t total) const;
 
   int fd_ = -1;
   std::uint64_t size_ = 0;

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
-
-#include "sem/block_cache.hpp"
-#include "sem/io_backend_detail.hpp"
 
 namespace asyncgt::sem {
 
@@ -15,7 +11,7 @@ constexpr auto relaxed = std::memory_order_relaxed;
 
 /// Small dense process-wide thread index: lanes live in flat tables instead
 /// of hash maps keyed by std::thread::id, and the index stays valid for the
-/// life of the thread regardless of how many backends it touches.
+/// life of the thread regardless of how many instances it touches.
 std::uint32_t this_thread_index() noexcept {
   static std::atomic<std::uint32_t> next{0};
   thread_local const std::uint32_t idx = next.fetch_add(1, relaxed);
@@ -24,69 +20,11 @@ std::uint32_t this_thread_index() noexcept {
 
 }  // namespace
 
-const char* to_string(io_backend_kind kind) noexcept {
-  switch (kind) {
-    case io_backend_kind::sync:
-      return "sync";
-    case io_backend_kind::coalescing:
-      return "coalescing";
-    case io_backend_kind::uring:
-      return "uring";
-  }
-  return "unknown";
-}
+io_backend::io_backend(const edge_file& file, std::uint64_t block_bytes)
+    : file_(&file), block_bytes_(block_bytes) {}
 
-io_backend_kind parse_io_backend_kind(const std::string& name) {
-  if (name == "sync") return io_backend_kind::sync;
-  if (name == "coalescing") return io_backend_kind::coalescing;
-  if (name == "uring") {
-#if defined(ASYNCGT_WITH_URING)
-    return io_backend_kind::uring;
-#else
-    throw std::invalid_argument(
-        "io_backend 'uring' is not compiled into this build "
-        "(reconfigure with -DASYNCGT_WITH_URING=ON)");
-#endif
-  }
-  throw std::invalid_argument("unknown io_backend '" + name +
-                              "' (expected sync, coalescing, or uring)");
-}
-
-std::vector<io_backend_kind> compiled_io_backends() {
-  std::vector<io_backend_kind> kinds{io_backend_kind::sync,
-                                     io_backend_kind::coalescing};
-#if defined(ASYNCGT_WITH_URING)
-  kinds.push_back(io_backend_kind::uring);
-#endif
-  return kinds;
-}
-
-bool io_backend_available(io_backend_kind kind) noexcept {
-  switch (kind) {
-    case io_backend_kind::sync:
-    case io_backend_kind::coalescing:
-      return true;
-    case io_backend_kind::uring:
-#if defined(ASYNCGT_WITH_URING)
-      return detail::uring_runtime_available();
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-void io_backend_config::validate() const {
-  if (batch == 0) {
-    throw std::invalid_argument("io_backend_config: batch must be positive");
-  }
-  if (batch > 65536) {
-    throw std::invalid_argument("io_backend_config: batch > 65536");
-  }
-  if (block_bytes == 0) {
-    throw std::invalid_argument(
-        "io_backend_config: block_bytes must be positive");
-  }
+io_backend::~io_backend() {
+  for (auto& slot : chunks_) delete slot.load(relaxed);
 }
 
 io_backend_counters io_backend::counters() const noexcept {
@@ -94,84 +32,12 @@ io_backend_counters io_backend::counters() const noexcept {
   c.requests = requests_.load(relaxed);
   c.batches = batches_.load(relaxed);
   c.bytes_issued = bytes_issued_.load(relaxed);
-  c.coalesced_ranges = coalesced_.load(relaxed);
-  c.split_batches = splits_.load(relaxed);
-  c.inflight_peak = inflight_peak_.load(relaxed);
+  c.window_hits = hits_.load(relaxed);
+  c.fallbacks = fallbacks_.load(relaxed);
   return c;
 }
 
-void io_backend::reset_counters() noexcept {
-  requests_.store(0, relaxed);
-  batches_.store(0, relaxed);
-  bytes_issued_.store(0, relaxed);
-  coalesced_.store(0, relaxed);
-  splits_.store(0, relaxed);
-  inflight_peak_.store(0, relaxed);
-}
-
-void io_backend::count_requests(std::uint64_t n) noexcept {
-  requests_.fetch_add(n, relaxed);
-}
-
-void io_backend::count_batch(std::uint64_t bytes) noexcept {
-  batches_.fetch_add(1, relaxed);
-  bytes_issued_.fetch_add(bytes, relaxed);
-  if (auto* rec = file_->recorder()) rec->record_batch();
-}
-
-void io_backend::count_coalesced(std::uint64_t n) noexcept {
-  coalesced_.fetch_add(n, relaxed);
-  if (auto* rec = file_->recorder()) rec->record_coalesced(n);
-}
-
-void io_backend::count_split() noexcept { splits_.fetch_add(1, relaxed); }
-
-void io_backend::inflight_begin_raw() noexcept {
-  const std::uint64_t cur = inflight_.fetch_add(1, relaxed) + 1;
-  std::uint64_t peak = inflight_peak_.load(relaxed);
-  while (cur > peak &&
-         !inflight_peak_.compare_exchange_weak(peak, cur, relaxed)) {
-  }
-  if (auto* rec = file_->recorder()) rec->inflight_begin();
-}
-
-void io_backend::inflight_end_raw() noexcept {
-  inflight_.fetch_sub(1, relaxed);
-  if (auto* rec = file_->recorder()) rec->inflight_end();
-}
-
-io_backend::inflight_guard::inflight_guard(io_backend& b) noexcept : b_(b) {
-  b_.inflight_begin_raw();
-}
-
-io_backend::inflight_guard::~inflight_guard() { b_.inflight_end_raw(); }
-
-namespace detail {
-
-// ---------------------------------------------------------------- sync
-
-void sync_backend::read(const io_request& req) {
-  count_requests(1);
-  if (req.bytes == 0) return;
-  inflight_guard g(*this);
-  file_->read_at(req.offset, req.dst, req.bytes);
-  count_batch(req.bytes);
-}
-
-// ---------------------------------------------------------- coalescing
-
-coalescing_backend::coalescing_backend(edge_file& file,
-                                       const io_backend_config& cfg,
-                                       block_cache* cache)
-    : io_backend(file), cfg_(cfg), cache_(cache) {
-  cfg_.validate();
-}
-
-coalescing_backend::~coalescing_backend() {
-  for (auto& slot : chunks_) delete slot.load(relaxed);
-}
-
-coalescing_backend::lane& coalescing_backend::my_lane() {
+io_backend::lane& io_backend::my_lane() {
   const std::uint32_t idx = this_thread_index();
   if (idx < kChunks * kChunkSize) {
     auto& slot = chunks_[idx / kChunkSize];
@@ -193,190 +59,65 @@ coalescing_backend::lane& coalescing_backend::my_lane() {
   return *slot;
 }
 
-bool coalescing_backend::serve_from_window(lane& ln,
-                                           const io_request& req) noexcept {
-  for (window& w : ln.win) {
-    if (w.len == 0 || req.offset < w.off) continue;
-    const std::uint64_t skip = req.offset - w.off;
-    if (skip < w.len && req.bytes <= w.len - skip) {
-      std::memcpy(req.dst, w.buf.data() + skip,
-                  static_cast<std::size_t>(req.bytes));
-      return true;
+void io_backend::issue(std::uint64_t offset, void* dst, std::uint64_t bytes) {
+  telemetry::io_recorder* rec = file_->recorder();
+  if (rec == nullptr) {
+    file_->read_at(offset, dst, bytes);
+  } else {
+    rec->inflight_begin();
+    try {
+      file_->read_at(offset, dst, bytes);
+    } catch (...) {
+      rec->inflight_end();
+      throw;
     }
+    rec->inflight_end();
+    rec->record_batch();
   }
-  return false;
+  batches_.fetch_add(1, relaxed);
+  bytes_issued_.fetch_add(bytes, relaxed);
 }
 
-void coalescing_backend::fill_window(lane& ln, const io_request& req) {
-  const std::uint64_t bb = cfg_.block_bytes;
-  const std::uint64_t start = req.offset / bb * bb;
-  const std::uint64_t end = req.offset + req.bytes;
-  // Extend to a readahead window of `batch` blocks — the semi-sorted visit
-  // order makes the next requests land just past this one — capped at the
-  // file size but never short of the request itself (an out-of-range
-  // request falls through to the split path for the canonical error).
-  std::uint64_t tail =
-      std::max(start + std::uint64_t{cfg_.batch} * bb, end);
-  if (tail > file_->size()) tail = std::max<std::uint64_t>(file_->size(), end);
-  if (cache_ != nullptr) {
-    // Dedup against the block cache: speculative blocks already resident
-    // there are cheap re-reads, so stop the window short of them.
-    std::uint64_t last = (tail - 1) / bb;
-    const std::uint64_t need = (end - 1) / bb;
-    while (last > need && cache_->contains(last)) {
-      tail = last * bb;
-      --last;
-    }
+void io_backend::read(const io_request& req) {
+  requests_.fetch_add(1, relaxed);
+  if (req.bytes == 0) return;
+  window& w = my_lane().win[req.stream == 0 ? 0 : 1];
+  if (req.offset >= w.off && req.offset - w.off < w.len &&
+      req.bytes <= w.len - (req.offset - w.off)) {
+    std::memcpy(req.dst, w.buf.data() + (req.offset - w.off),
+                static_cast<std::size_t>(req.bytes));
+    hits_.fetch_add(1, relaxed);
+    if (auto* rec = file_->recorder()) rec->record_coalesced();
+    return;
   }
 
-  window& w = ln.win[req.stream == 0 ? 0 : 1];
-  const std::uint64_t len = tail - start;
-  w.len = 0;  // invalid while (re)filling
-  if (w.buf.size() < len) w.buf.resize(static_cast<std::size_t>(len));
-  merged_io refill;
-  refill.offset = start;
-  refill.bytes = len;
-  refill.slices.push_back({w.buf.data(), len});
+  // The whole blocks covering the request, cut at the end of the file but
+  // never short of the request (an out-of-range request then gets
+  // edge_file's own range error from the exact read below).
+  const std::uint64_t bb = block_bytes_;
+  const std::uint64_t end = req.offset + req.bytes;
+  const std::uint64_t start = req.offset / bb * bb;
+  const std::uint64_t tail =
+      std::max(std::min((end + bb - 1) / bb * bb, file_->size()), end);
+  w.len = 0;  // invalid while refilling
+  if (w.buf.size() < tail - start) {
+    w.buf.resize(static_cast<std::size_t>(tail - start));
+  }
   try {
-    issue(refill);
+    issue(start, w.buf.data(), tail - start);
   } catch (const io_error&) {
-    // The merged range failed permanently (or was out of range): split to
-    // the exact request so only its own bytes decide success, exactly like
-    // sync_backend would.
-    count_split();
-    inflight_guard g(*this);
-    file_->read_at(req.offset, req.dst, req.bytes);
-    count_batch(req.bytes);
+    // The window failed for good: read exactly the request, so only its own
+    // bytes decide whether it fails. A window that is the request already
+    // failed on exactly those bytes.
+    if (start == req.offset && tail == end) throw;
+    fallbacks_.fetch_add(1, relaxed);
+    issue(req.offset, req.dst, req.bytes);
     return;
   }
   w.off = start;
-  w.len = len;
+  w.len = tail - start;
   std::memcpy(req.dst, w.buf.data() + (req.offset - start),
               static_cast<std::size_t>(req.bytes));
-}
-
-void coalescing_backend::read(const io_request& req) {
-  count_requests(1);
-  if (req.bytes == 0) return;
-  lane& ln = my_lane();
-  if (serve_from_window(ln, req)) {
-    count_coalesced(1);
-    return;
-  }
-  fill_window(ln, req);
-}
-
-void coalescing_backend::enqueue(const io_request& req) {
-  count_requests(1);
-  if (req.bytes == 0) return;
-  lane& ln = my_lane();
-  ln.staged.push_back(req);
-  if (ln.staged.size() >= cfg_.batch) flush_lane(ln);
-}
-
-void coalescing_backend::flush() { flush_lane(my_lane()); }
-
-void coalescing_backend::flush_lane(lane& ln) {
-  if (ln.staged.empty()) return;
-  std::vector<io_request> staged;
-  staged.swap(ln.staged);
-
-  // Serve what the readahead windows already hold, then sort the rest by
-  // file offset and merge exactly-adjacent runs into single preadv batches.
-  // (Overlapping duplicates are always window-covered after their first
-  // read, so runs partition disjoint ranges by construction.)
-  std::vector<io_request> pending;
-  pending.reserve(staged.size());
-  for (const io_request& r : staged) {
-    if (serve_from_window(ln, r)) {
-      count_coalesced(1);
-    } else {
-      pending.push_back(r);
-    }
-  }
-  if (pending.empty()) return;
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const io_request& a, const io_request& b) {
-                     return a.offset < b.offset;
-                   });
-
-  std::vector<std::pair<std::size_t, std::size_t>> runs;  // {first, count}
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!runs.empty()) {
-      const io_request& prev = pending[i - 1];
-      if (prev.offset + prev.bytes == pending[i].offset) {
-        ++runs.back().second;
-        continue;
-      }
-    }
-    runs.push_back({i, 1});
-  }
-
-  // Lone requests go through the readahead window (so a weighted
-  // traversal's target/weight streams still prefetch); true runs become one
-  // preadv each.
-  std::vector<merged_io> batch;
-  for (const auto& [first, count] : runs) {
-    if (count == 1) {
-      fill_window(ln, pending[first]);
-      continue;
-    }
-    merged_io io;
-    io.offset = pending[first].offset;
-    for (std::size_t i = first; i < first + count; ++i) {
-      io.slices.push_back({pending[i].dst, pending[i].bytes});
-      io.bytes += pending[i].bytes;
-    }
-    batch.push_back(std::move(io));
-  }
-  if (!batch.empty()) issue_batch(batch);
-}
-
-void coalescing_backend::issue(const merged_io& io) {
-  inflight_guard g(*this);
-  bool split = false;
-  try {
-    split = file_->readv_at(io.offset, io.slices.data(), io.slices.size());
-  } catch (const io_error&) {
-    // The batch split and a slice still failed for good: the split itself
-    // happened, so record it before the abort propagates.
-    count_split();
-    throw;
-  }
-  if (split) {
-    count_split();
-    // The batch degraded to one read per slice; account for each.
-    for (const io_slice& s : io.slices) count_batch(s.bytes);
-    return;
-  }
-  if (io.slices.size() > 1) count_coalesced(io.slices.size() - 1);
-  count_batch(io.bytes);
-}
-
-void coalescing_backend::issue_batch(std::vector<merged_io>& batch) {
-  for (const merged_io& io : batch) issue(io);
-}
-
-}  // namespace detail
-
-std::unique_ptr<io_backend> make_io_backend(edge_file& file,
-                                            const io_backend_config& cfg,
-                                            block_cache* cache) {
-  cfg.validate();
-  switch (cfg.kind) {
-    case io_backend_kind::sync:
-      return std::make_unique<detail::sync_backend>(file);
-    case io_backend_kind::coalescing:
-      return std::make_unique<detail::coalescing_backend>(file, cfg, cache);
-    case io_backend_kind::uring:
-#if defined(ASYNCGT_WITH_URING)
-      return detail::make_uring_backend(file, cfg, cache);
-#else
-      throw std::runtime_error(
-          "io_backend 'uring' is not compiled into this build");
-#endif
-  }
-  throw std::invalid_argument("make_io_backend: unknown backend kind");
 }
 
 }  // namespace asyncgt::sem

@@ -1,90 +1,42 @@
-// Pluggable batched I/O backends for semi-external storage.
+// The semi-external host read path: one block window per thread.
 //
-// The paper reaches peak random-read IOPS by oversubscribing threads so
-// that many blocking preads are in flight at once; modern out-of-core
-// systems (ACGraph et al., PAPERS.md) reach the same device concurrency
-// with far fewer threads by issuing *batched, coalesced* block requests.
-// This header is the seam between those two worlds: every adjacency read
-// of a sem_csr flows through an io_backend, and the backend decides how
-// logical requests become syscalls.
+// The paper reads every adjacency list with its own blocking pread. The
+// semi-sorted SEM visit order (§IV-C) makes a thread's consecutive
+// adjacency reads adjacent on disk, so this path reads whole device blocks
+// instead: a request the calling thread's window already holds is a memcpy,
+// and any other request preads the block-aligned range covering it, which
+// becomes the new window. Out-of-core systems read storage in whole blocks
+// the same way (ACGraph, PAPERS.md).
 //
-//   sync_backend        one pread per request — the behaviour-identical
-//                       default (exactly the pre-backend read path).
-//   coalescing_backend  per-thread staging: requests merge with adjacent /
-//                       overlapping ranges into preadv batches, and single
-//                       reads are extended into a block-aligned readahead
-//                       window of `batch` blocks. The semi-sorted SEM visit
-//                       order (§IV-C) makes consecutive requests adjacent
-//                       in the file, so most requests are served from the
-//                       window without a syscall. Speculative readahead is
-//                       trimmed at blocks already resident in the shared
-//                       block_cache (they are cheap re-reads anyway).
-//   uring_backend       (-DASYNCGT_WITH_URING) submits the same merged
-//                       batches through io_uring with a bounded in-flight
-//                       window; falls back to the synchronous path when
-//                       the ring is unavailable or a fault injector is
-//                       attached (plans must be drawn per logical op).
+// Only host syscalls depend on this class. The simulated device charge and
+// the block-cache probe are booked per logical request by sem_csr
+// (charge_ahead / charge_device), whatever the window holds.
 //
-// Failure model (docs/io_backends.md, docs/robustness.md): every syscall a
-// backend issues goes through edge_file's retry/backoff loop, and faults
-// are drawn per *merged range*. When a merged range fails permanently the
-// batch is split — each staged request is re-issued on its own — so a bad
-// sector can only fail requests whose own bytes overlap it, and traversal
-// labels are bit-identical across backends, faults or not.
+// Failure model (docs/robustness.md): each window pread goes through
+// edge_file's retry/backoff loop and draws one fault plan. If it fails for
+// good, the request is read again over exactly its own bytes, so a bad
+// sector fails only the requests that overlap it.
 //
-// Threading: one backend instance lives per sem_csr and is shared by every
-// concurrent job traversing it. All per-thread state (windows, staged
-// requests) lives in lanes indexed by a process-wide thread index; counters
-// are relaxed atomics. No locks on the read path.
+// Threading: one instance lives per sem_csr and is shared by every job
+// traversing it. Windows live in per-thread lanes indexed by a process-wide
+// thread index; counters are relaxed atomics. No locks on the read path.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "sem/edge_file.hpp"
 
 namespace asyncgt::sem {
 
-class block_cache;
-
-enum class io_backend_kind { sync, coalescing, uring };
-
-const char* to_string(io_backend_kind kind) noexcept;
-
-/// Parses "sync" | "coalescing" | "uring" (the `--io-backend=` values).
-/// Throws std::invalid_argument on anything else, including "uring" when
-/// the tree was built without -DASYNCGT_WITH_URING.
-io_backend_kind parse_io_backend_kind(const std::string& name);
-
-/// The backends compiled into this build, in declaration order. "Every
-/// compiled io_backend" in the differential and identity suites iterates
-/// this list.
-std::vector<io_backend_kind> compiled_io_backends();
-
-/// True iff `kind` can actually run on this host. sync/coalescing always
-/// can; uring probes io_uring_setup once (sandboxes and old kernels refuse
-/// it) and remembers the answer.
-bool io_backend_available(io_backend_kind kind) noexcept;
-
-struct io_backend_config {
-  io_backend_kind kind = io_backend_kind::sync;
-  /// Batch depth: the readahead window in blocks for single reads, and the
-  /// staged-request count that triggers an implicit flush.
-  std::uint32_t batch = 8;
-  /// Device block granularity for window alignment (4 KiB = the NAND page
-  /// size every device preset uses).
-  std::uint32_t block_bytes = 4096;
-
-  void validate() const;
-};
-
-/// One logical read: `bytes` at `offset` into `dst`. `stream` is a window
-/// affinity hint (0 = targets section, 1 = weights section): requests of
-/// different streams keep separate readahead windows so a weighted
-/// traversal's alternating target/weight reads do not thrash one window.
+/// One logical read: `bytes` at `offset` into `dst`. `stream` picks the
+/// window (0 = targets section, 1 = weights section), so a weighted
+/// traversal's alternating target and weight reads keep one window each.
 struct io_request {
   std::uint64_t offset = 0;
   std::uint64_t bytes = 0;
@@ -93,95 +45,69 @@ struct io_request {
 };
 
 struct io_backend_counters {
-  std::uint64_t requests = 0;       ///< logical reads entering the backend
-  std::uint64_t batches = 0;        ///< merged ranges issued to the kernel
-  std::uint64_t bytes_issued = 0;   ///< bytes covered by issued batches
-  std::uint64_t coalesced_ranges = 0;  ///< requests served w/o own syscall
-  std::uint64_t split_batches = 0;  ///< merged issues split after failure
-  std::uint64_t inflight_peak = 0;  ///< max concurrently issued batches
-
-  /// The bench's bytes-per-syscall figure of merit.
-  double bytes_per_batch() const noexcept {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(bytes_issued) /
-                              static_cast<double>(batches);
-  }
+  std::uint64_t requests = 0;      ///< logical reads
+  std::uint64_t batches = 0;       ///< preads that completed
+  std::uint64_t bytes_issued = 0;  ///< bytes those preads read
+  std::uint64_t window_hits = 0;   ///< requests served without a pread
+  std::uint64_t fallbacks = 0;     ///< window preads retried as the request
 };
 
 class io_backend {
  public:
-  explicit io_backend(edge_file& file) noexcept : file_(&file) {}
-  virtual ~io_backend() = default;
+  /// The name reports and the benchmark print for the one read path.
+  static constexpr const char* name = "block-window";
+
+  /// Reads `file` through windows of whole `block_bytes` blocks.
+  io_backend(const edge_file& file, std::uint64_t block_bytes);
+  ~io_backend();
 
   io_backend(const io_backend&) = delete;
   io_backend& operator=(const io_backend&) = delete;
 
-  virtual const char* name() const noexcept = 0;
-  virtual io_backend_kind kind() const noexcept = 0;
-
-  /// Blocking read of one range; data is valid on return. Throws io_error
-  /// exactly when the requested bytes cannot be read (see edge_file).
-  virtual void read(const io_request& req) = 0;
-
-  /// Stages a request on the calling thread's lane; the data is guaranteed
-  /// present only after flush(). Backends without staging complete it
-  /// immediately. Staged requests never outlive one adjacency access — the
-  /// synchronous visitor contract is the engine's flush-on-idle.
-  virtual void enqueue(const io_request& req) { read(req); }
-
-  /// Completes every request the calling thread has staged.
-  virtual void flush() {}
+  /// Blocking read of one range; the data is in `req.dst` on return.
+  /// Throws io_error exactly when the requested bytes cannot be read.
+  void read(const io_request& req);
 
   io_backend_counters counters() const noexcept;
-  void reset_counters() noexcept;
 
-  edge_file& file() const noexcept { return *file_; }
-
- protected:
-  /// Counter helpers shared by the implementations; all relaxed atomics,
-  /// mirrored into the edge_file's io_recorder when one is attached.
-  void count_requests(std::uint64_t n) noexcept;
-  void count_batch(std::uint64_t bytes) noexcept;
-  void count_coalesced(std::uint64_t n) noexcept;
-  void count_split() noexcept;
-
-  /// Unscoped in-flight bracket for asynchronous submission paths where the
-  /// op outlives the submitting scope (io_uring). Prefer inflight_guard.
-  void inflight_begin_raw() noexcept;
-  void inflight_end_raw() noexcept;
-
-  /// RAII bracket around one issued batch: maintains the in-flight peak in
-  /// both the backend counters and the attached recorder.
-  class inflight_guard {
-   public:
-    explicit inflight_guard(io_backend& b) noexcept;
-    ~inflight_guard();
-    inflight_guard(const inflight_guard&) = delete;
-    inflight_guard& operator=(const inflight_guard&) = delete;
-
-   private:
-    io_backend& b_;
-  };
-
-  edge_file* file_;
+  std::uint64_t block_bytes() const noexcept { return block_bytes_; }
 
  private:
-  friend class inflight_guard;
+  /// A filled stretch of the file, valid while `len` > 0.
+  struct window {
+    std::uint64_t off = 0;
+    std::uint64_t len = 0;
+    std::vector<char> buf;
+  };
+  /// Only the thread that owns a lane's index touches it.
+  struct lane {
+    window win[2];
+  };
+
+  lane& my_lane();
+  /// One pread through edge_file, counted as a batch once it completes.
+  void issue(std::uint64_t offset, void* dst, std::uint64_t bytes);
+
+  const edge_file* file_;
+  const std::uint64_t block_bytes_;
+
+  // Lanes live in a fixed two-level table indexed by a process-wide thread
+  // index: lock-free lookup, and memory bounded by the threads that touch
+  // this instance (chunks allocate on first use).
+  static constexpr std::size_t kChunkSize = 64;
+  static constexpr std::size_t kChunks = 256;  // 16384 threads before overflow
+  struct chunk {
+    lane lanes[kChunkSize];
+  };
+  std::array<std::atomic<chunk*>, kChunks> chunks_{};
+  std::mutex overflow_mu_;
+  std::unordered_map<std::uint32_t, std::unique_ptr<lane>> overflow_;
+
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> bytes_issued_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> splits_{0};
-  std::atomic<std::uint64_t> inflight_{0};
-  std::atomic<std::uint64_t> inflight_peak_{0};
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> fallbacks_{0};
 };
-
-/// Builds the backend selected by `cfg` over `file`. `cache` (borrowed,
-/// nullable) is the shared block cache the coalescing scheduler consults to
-/// trim speculative readahead. Throws std::invalid_argument on a bad
-/// config and std::runtime_error for a uring request the host cannot serve.
-std::unique_ptr<io_backend> make_io_backend(edge_file& file,
-                                            const io_backend_config& cfg,
-                                            block_cache* cache = nullptr);
 
 }  // namespace asyncgt::sem

@@ -2,7 +2,7 @@
 // graphs.
 //
 // Before this builder, every SEM call site wired sem_csr by hand through
-// five independent setters (backend, cache, heat, fault injector, retries).
+// independent setters (cache, heat, fault injector, retries).
 // sem_config folds the whole arrangement into one struct with fluent with_*
 // setters; open<VertexId>() materializes a sem_bundle that OWNS every piece
 // in destruction-safe order, so a call site is:
@@ -14,8 +14,8 @@
 //   run(*bundle.graph, topt);
 //
 // from_options() bridges from traversal_options (duck-typed, so this header
-// never includes the service layer): the --io-backend= / --cache-fraction= /
-// --io-retries= flags parsed by traversal_options::from_flags land here
+// never includes the service layer): the --cache-fraction= / --io-retries=
+// flags parsed by traversal_options::from_flags land here
 // without further plumbing.
 //
 // The old sem_csr setters remain as the thin primitives this builder
@@ -33,7 +33,6 @@
 #include "sem/block_heat.hpp"
 #include "sem/block_index.hpp"
 #include "sem/fault_injector.hpp"
-#include "sem/io_backend.hpp"
 #include "sem/sem_csr.hpp"
 #include "sem/ssd_model.hpp"
 
@@ -83,12 +82,6 @@ class sem_config {
     cache_blocks_ = blocks;
     return *this;
   }
-  /// I/O backend name ("sync" | "coalescing" | "uring") and batch depth.
-  sem_config& with_io_backend(std::string name, std::uint32_t batch = 8) {
-    io_backend_ = std::move(name);
-    io_batch_ = batch;
-    return *this;
-  }
   /// Transient-I/O retry budget (io_retry_policy correspondence).
   sem_config& with_retries(std::uint32_t max_retries,
                            std::uint32_t backoff_initial_us) {
@@ -123,25 +116,22 @@ class sem_config {
   const std::string& path() const noexcept { return path_; }
   ssd_model* device() const noexcept { return device_; }
   double cache_fraction() const noexcept { return cache_fraction_; }
-  const std::string& io_backend_name() const noexcept { return io_backend_; }
-  std::uint32_t io_batch() const noexcept { return io_batch_; }
 
   /// Bridge from traversal_options (or anything shaped like it — duck
-  /// typed so sem never includes the service layer). Picks up the retry /
-  /// backend knobs and cache_fraction; a caller that needs the reverse view
+  /// typed so sem never includes the service layer). Picks up the retry
+  /// knobs and cache_fraction; a caller that needs the reverse view
   /// asks for it with with_reverse. A negative cache_fraction means "caller
   /// decides" and leaves the builder's current value alone.
   template <typename Topt>
   static sem_config from_options(const Topt& t, std::string path) {
     sem_config c(std::move(path));
-    c.with_io_backend(t.io_backend, t.io_batch)
-        .with_retries(t.io_retries, t.io_backoff_us);
+    c.with_retries(t.io_retries, t.io_backoff_us);
     if (t.cache_fraction >= 0.0) c.with_cache_fraction(t.cache_fraction);
     return c;
   }
 
-  /// Materializes the whole arrangement. Throws on an unknown backend name,
-  /// a missing/corrupt graph file, or a missing reverse file
+  /// Materializes the whole arrangement. Throws on a missing/corrupt graph
+  /// file, or a missing reverse file
   /// when with_reverse was requested.
   template <typename VertexId>
   sem_bundle<VertexId> open() const {
@@ -158,11 +148,6 @@ class sem_config {
     if (cap > 0) b.cache = std::make_unique<block_cache>(cap);
     b.graph = std::make_unique<sem_csr<VertexId>>(path_, device_,
                                                   b.cache.get());
-    io_backend_config bcfg;
-    bcfg.kind = parse_io_backend_kind(io_backend_);
-    bcfg.batch = io_batch_;
-    bcfg.block_bytes = static_cast<std::uint32_t>(bs);
-    b.graph->set_io_backend(bcfg);
     io_retry_policy retry;
     retry.max_retries = io_retries_;
     retry.backoff_initial_us = io_backoff_us_;
@@ -202,8 +187,6 @@ class sem_config {
   ssd_model* device_ = nullptr;
   double cache_fraction_ = 0.0;
   std::uint64_t cache_blocks_ = 0;
-  std::string io_backend_ = "sync";
-  std::uint32_t io_batch_ = 8;
   std::uint32_t io_retries_ = 4;
   std::uint32_t io_backoff_us_ = 50;
   bool heat_ = false;

@@ -19,9 +19,9 @@
 // Reverse view. A SEM graph can carry an on-disk reverse edge file (the
 // transpose, written by write_graph_with_reverse or ooc_builder's
 // emit_reverse at reverse_path_for(path)): open_reverse() nests a second
-// sem_csr over it sharing this graph's simulated device and I/O backend
-// configuration, so in-edge reads go through the identical
-// io_backend/block_cache/block_heat seam as out-edge reads. The reverse
+// sem_csr over it sharing this graph's simulated device, so in-edge reads
+// go through the identical io_backend/block_cache/block_heat path as
+// out-edge reads. The reverse
 // file is a separate byte space, so it takes its own (optional) block cache
 // and heat recorder rather than colliding with the main file's block ids.
 // This extends the concept with has_reverse() / in_degree(v) /
@@ -107,13 +107,15 @@ class sem_csr {
     }
     targets_pos_ = agt_targets_pos<VertexId>(h.num_vertices);
     weights_pos_ = agt_weights_pos<VertexId>(h.num_vertices, h.num_edges);
-    backend_ = make_io_backend(file_, backend_cfg_, cache_);
+    backend_ = std::make_unique<io_backend>(
+        file_, device_ != nullptr ? device_->params().block_bytes
+                                  : default_block_bytes);
   }
 
-  // The backend holds a pointer to file_, so moves must rebind it onto the
-  // destination's own members instead of inheriting the stale one. The
-  // nested reverse graph rebinds itself through its own move, so its
-  // unique_ptr just transfers.
+  // The backend holds a pointer to file_ and windows of its bytes, so moves
+  // give the destination a fresh one over its own file instead of the
+  // stale one. The nested reverse graph rebinds itself through its own
+  // move, so its unique_ptr just transfers.
   sem_csr(sem_csr&& other)
       : file_(std::move(other.file_)),
         device_(other.device_),
@@ -123,10 +125,9 @@ class sem_csr {
         offsets_(std::move(other.offsets_)),
         targets_pos_(other.targets_pos_),
         weights_pos_(other.weights_pos_),
-        backend_cfg_(other.backend_cfg_),
-        reverse_(std::move(other.reverse_)) {
-    backend_ = make_io_backend(file_, backend_cfg_, cache_);
-  }
+        backend_(std::make_unique<io_backend>(
+            file_, other.backend_->block_bytes())),
+        reverse_(std::move(other.reverse_)) {}
 
   sem_csr& operator=(sem_csr&& other) {
     if (this != &other) {
@@ -139,9 +140,9 @@ class sem_csr {
       offsets_ = std::move(other.offsets_);
       targets_pos_ = other.targets_pos_;
       weights_pos_ = other.weights_pos_;
-      backend_cfg_ = other.backend_cfg_;
       reverse_ = std::move(other.reverse_);
-      backend_ = make_io_backend(file_, backend_cfg_, cache_);
+      backend_ = std::make_unique<io_backend>(
+          file_, other.backend_->block_bytes());
     }
     return *this;
   }
@@ -155,7 +156,7 @@ class sem_csr {
   // ---- Piecewise wiring setters ----
   //
   // DEPRECATED as a construction surface: new code builds a fully wired
-  // graph (device, cache, heat, backend, retries, faults, recorder)
+  // graph (device, cache, heat, retries, faults, recorder)
   // through the sem_config builder (sem/sem_config.hpp) in one
   // declaration. These setters remain as the thin primitives the builder —
   // and existing tests — compose from, and keep their exact semantics;
@@ -217,30 +218,19 @@ class sem_csr {
     return blocks_covering(file_.size(), bs);
   }
 
-  /// Swaps the I/O backend every adjacency read routes through (default:
-  /// sync). One backend instance serves all jobs traversing this graph —
-  /// per-thread state lives inside it — but the swap itself must happen
-  /// before traversals start, not while readers are in flight.
-  void set_io_backend(const io_backend_config& cfg) {
-    backend_cfg_ = cfg;
-    backend_ = make_io_backend(file_, backend_cfg_, cache_);
-    if (reverse_) reverse_->set_io_backend(cfg);
-  }
+  /// The host read path every adjacency read goes through: one instance
+  /// serves all jobs traversing this graph, with per-thread windows inside.
   io_backend& backend() const noexcept { return *backend_; }
-  const io_backend_config& backend_config() const noexcept {
-    return backend_cfg_;
-  }
 
   // ---- Reverse (transpose) view ----
 
   /// Opens the on-disk reverse edge file (reverse_path_for(path), written
   /// by write_graph_with_reverse or ooc_builder's emit_reverse) as a nested
-  /// sem_csr sharing this graph's simulated device, I/O backend config, and
-  /// retry policy. The reverse file is its own byte space, so it takes its
-  /// own optional block cache / heat recorder instead of aliasing the main
-  /// file's block ids. Throws if the file is missing or does not transpose
-  /// this graph. Idempotent; call before traversals start, like
-  /// set_io_backend.
+  /// sem_csr sharing this graph's simulated device. The reverse file is its
+  /// own byte space, so it takes its own optional block cache / heat
+  /// recorder instead of aliasing the main file's block ids. Throws if the
+  /// file is missing or does not transpose this graph. Idempotent; call
+  /// before traversals start.
   void open_reverse(block_cache* reverse_cache = nullptr,
                     block_heat* reverse_heat = nullptr) {
     if (reverse_) return;
@@ -253,7 +243,6 @@ class sem_csr {
           "' does not transpose '" + file_.path() +
           "' (vertex/edge counts disagree)");
     }
-    rev->set_io_backend(backend_cfg_);
     rev->set_block_heat(reverse_heat);
     reverse_ = std::move(rev);
   }
@@ -301,18 +290,16 @@ class sem_csr {
     const std::uint64_t tpos = targets_pos_ + begin * sizeof(VertexId);
     const std::uint64_t wbytes = degree * sizeof(weight_t);
     const std::uint64_t wpos = weights_pos_ + begin * sizeof(weight_t);
-    // Device/cache charging stays per logical request regardless of how the
-    // backend batches the host reads, so simulated-device accounting is
-    // identical across backends.
+    // Device/cache charging is per logical request, whatever the host read
+    // finds in the calling thread's window.
     if (!take_ahead_mark(v)) {
       charge_device(tpos, tbytes);
       if (header_.weighted()) charge_device(wpos, wbytes);
     }
     if (header_.weighted()) {
       weights.resize(degree);
-      backend_->enqueue({tpos, tbytes, targets.data(), 0});
-      backend_->enqueue({wpos, wbytes, weights.data(), 1});
-      backend_->flush();
+      backend_->read({tpos, tbytes, targets.data(), 0});
+      backend_->read({wpos, wbytes, weights.data(), 1});
       for (std::uint64_t i = 0; i < degree; ++i) f(targets[i], weights[i]);
     } else {
       backend_->read({tpos, tbytes, targets.data(), 0});
@@ -476,7 +463,6 @@ class sem_csr {
   std::vector<std::uint64_t> offsets_;
   std::uint64_t targets_pos_ = 0;
   std::uint64_t weights_pos_ = 0;
-  io_backend_config backend_cfg_;
   std::unique_ptr<io_backend> backend_;
   std::unique_ptr<sem_csr> reverse_;  // open_reverse(); null = no view
 };

@@ -42,12 +42,10 @@ struct traversal_options {
   std::uint32_t io_retries = 4;
   std::uint32_t io_backoff_us = 50;
 
-  /// Semi-external I/O backend selection; carried as the flag string (same
-  /// layering rule as the retry knobs — no sem types here). SEM call sites
-  /// build an io_backend_config via sem::parse_io_backend_kind(io_backend)
-  /// with batch = io_batch. Ignored by in-memory runs.
-  std::string io_backend = "sync";
-  std::uint32_t io_batch = 8;
+  /// Names the one SEM host read path (sem::io_backend::name). Selects
+  /// nothing; kept only because the benchmark's sem-rmat workload
+  /// (perfbench/src/sem_rmat.cpp) reports it. Remove it with that call.
+  static constexpr const char* io_backend = "block-window";
 
   /// Simulated page-cache size as a fraction of the graph file's blocks
   /// (sem::sem_config::from_options consumes it). Negative = not specified
@@ -133,9 +131,6 @@ struct traversal_options {
   ///                      order the SEM block cache depends on, tuning.md)
   ///   --io-retries=N     transient-errno budget  (default 4)
   ///   --io-backoff-us=N  initial retry backoff   (default 50)
-  ///   --io-backend=NAME  SEM read path: sync | coalescing | uring
-  ///                      (default sync; docs/io_backends.md)
-  ///   --io-batch=N       coalescing/uring batch depth (default 8)
   ///   --ordering=NAME    pop order: priority | fifo | lifo
   ///                      (default priority)
   ///   --cache-fraction=F page-cache size as a fraction of the file's
@@ -148,8 +143,9 @@ struct traversal_options {
   ///   --priority=P       admission priority: low | normal | high | int
   ///   --checkpoint-on-error=F  BFS/SSSP: snapshot the labels to F on abort
   /// `sem_mode` selects the SEM defaults (flush batch, secondary sort).
-  /// The option parser stores any key, so the flags of the removed
-  /// hot-block scheduler (--cache-policy, --prefetch-hot, --hot-threshold)
+  /// The option parser stores any key, so the flags of removed mechanisms
+  /// (the hot-block scheduler's --cache-policy, --prefetch-hot and
+  /// --hot-threshold; the I/O backend choice's --io-backend and --io-batch)
   /// are rejected by name here rather than silently ignored.
   static traversal_options from_flags(const options& opt,
                                       bool sem_mode = false) {
@@ -162,6 +158,14 @@ struct traversal_options {
             "plain LRU cache");
       }
     }
+    for (const char* removed : {"io-backend", "io-batch"}) {
+      if (opt.has(removed)) {
+        throw std::invalid_argument(
+            std::string("--") + removed +
+            " was removed; SEM runs read whole blocks through one "
+            "per-thread window");
+      }
+    }
     traversal_options o;
     o.queue.num_threads =
         static_cast<std::size_t>(opt.get_int("threads", 16));
@@ -172,9 +176,6 @@ struct traversal_options {
         opt.get_int("io-retries", static_cast<std::int64_t>(o.io_retries)));
     o.io_backoff_us = static_cast<std::uint32_t>(opt.get_int(
         "io-backoff-us", static_cast<std::int64_t>(o.io_backoff_us)));
-    o.io_backend = opt.get_string("io-backend", o.io_backend);
-    o.io_batch = static_cast<std::uint32_t>(
-        opt.get_int("io-batch", static_cast<std::int64_t>(o.io_batch)));
     const std::string ordering = opt.get_string("ordering", "priority");
     if (ordering == "priority") {
       o.queue.order = queue_order::priority;

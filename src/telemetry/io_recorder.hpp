@@ -22,9 +22,9 @@ struct io_snapshot {
   std::uint64_t max_latency_us = 0;
   std::uint64_t retries = 0;   // transient failures re-attempted
   std::uint64_t gave_up = 0;   // reads that failed permanently
-  std::uint64_t batches = 0;           // merged ranges issued to the kernel
-  std::uint64_t coalesced_ranges = 0;  // requests served without a syscall
-  std::uint64_t inflight_peak = 0;     // max concurrent issued batches
+  std::uint64_t batches = 0;           // preads the SEM read path issued
+  std::uint64_t coalesced_ranges = 0;  // requests served from a window
+  std::uint64_t inflight_peak = 0;     // max concurrent preads
   std::vector<std::uint64_t> latency_buckets;  // log2 µs buckets
 
   double mean_latency_us() const {
@@ -69,20 +69,21 @@ class io_recorder {
     gave_up_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// One merged byte range was issued to the kernel by an io_backend (a
-  /// pread of a coalescing window, or one preadv batch).
+  /// The SEM read path (sem::io_backend) completed one pread: a block
+  /// window, or the exact request after a failed window.
   void record_batch() noexcept {
     batches_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// `n` logical requests were served without their own syscall: window
-  /// hits, or slices folded into a preadv batch beyond the first.
+  /// `n` logical requests were served from a block window without a
+  /// pread.
   void record_coalesced(std::uint64_t n = 1) noexcept {
     coalesced_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Brackets one issued batch; maintains the concurrent-batch peak that
-  /// surfaces as io.inflight_peak. Call end exactly once per begin.
+  /// Brackets one pread of the SEM read path; maintains the concurrent
+  /// peak that surfaces as io.inflight_peak. Call end exactly once per
+  /// begin.
   void inflight_begin() noexcept {
     const std::uint64_t cur =
         inflight_.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -1,17 +1,12 @@
-// Differential correctness harness (`ctest -L diff`; docs/io_backends.md).
+// Differential correctness harness (`ctest -L diff`).
 //
-// The library's central refactoring bet is that storage and transport are
-// swap-in backends: the asynchronous traversals must produce the same
-// answer in memory, semi-externally through the default sync backend, and
-// semi-externally through every batching backend compiled in. This suite
+// The library's central refactoring bet is that storage is a swap-in
+// backend: the asynchronous traversals must produce the same answer in
+// memory and semi-externally, with or without a block cache. This suite
 // checks that bet differentially — seeded random RMAT / grid / web graphs,
 // async BFS / SSSP / CC against the serial baselines in src/baselines/ —
 // across every execution mode. A failure message always carries the
 // generator seed, so any discrepancy is replayable from the log alone.
-//
-// The mode axis is discovered at registration time (compiled_io_backends()
-// filtered by host availability), so the same test binary tightens itself
-// when -DASYNCGT_WITH_URING is on and the host allows io_uring_setup.
 //
 // The Incremental* rows run the delta-overlay repair drivers
 // (docs/dynamic_graphs.md) against a full recompute over the same pinned
@@ -30,41 +25,29 @@
 #include "baselines/serial_bfs.hpp"
 #include "baselines/serial_cc.hpp"
 #include "baselines/serial_sssp.hpp"
-#include "sem/io_backend.hpp"
 
 namespace asyncgt {
 namespace {
 
-/// One execution mode: in-memory, or semi-external through a named backend.
-/// `flush_batch` is the queue's delivery batch; `cache_fraction` > 0 gives
-/// SEM storage a block cache that small, so the row evicts. Labels are
-/// pop-order independent, so every row must stay bit-identical. The rows'
-/// order is fixed: ctest names carry the row index.
+/// One execution mode: in-memory, or semi-external. `flush_batch` is the
+/// queue's delivery batch; `cache_fraction` > 0 gives SEM storage a block
+/// cache that small, so the row evicts. Labels are pop-order independent,
+/// so every row must stay bit-identical. The rows' order is fixed: ctest
+/// names carry the row index.
 struct exec_mode {
   std::string name;
   bool sem = false;
-  sem::io_backend_kind kind = sem::io_backend_kind::sync;
-  std::uint32_t batch = 8;
   std::size_t flush_batch = 1;
   double cache_fraction = 0.0;
 };
 
 const std::vector<exec_mode>& modes() {
-  static const std::vector<exec_mode> m = [] {
-    std::vector<exec_mode> out;
-    out.push_back({"im", false, sem::io_backend_kind::sync, 0, 1, 0.0});
-    // The tools' in-memory default delivery batch.
-    out.push_back({"im_batch64", false, sem::io_backend_kind::sync, 0, 64,
-                   0.0});
-    for (const auto kind : sem::compiled_io_backends()) {
-      if (!sem::io_backend_available(kind)) continue;
-      // Batch 4 keeps several merge/flush cycles in even the small graphs.
-      const std::string name = std::string("sem_") + sem::to_string(kind);
-      out.push_back({name, true, kind, 4, 1, 0.0});
-      out.push_back({name + "_cache", true, kind, 4, 1, 0.25});
-    }
-    return out;
-  }();
+  static const std::vector<exec_mode> m = {
+      {"im", false, 1, 0.0},
+      {"im_batch64", false, 64, 0.0},  // the tools' in-memory default
+      {"sem", true, 1, 0.0},
+      {"sem_cache", true, 1, 0.25},
+  };
   return m;
 }
 
@@ -89,16 +72,15 @@ class Differential : public ::testing::TestWithParam<int> {
     return c;
   }
 
-  /// SEM builder for this mode: backend and cache size from the mode axis.
+  /// SEM builder for this mode: cache size from the mode axis.
   sem::sem_config sem_cfg(const std::string& p) const {
     sem::sem_config scfg(p);
-    scfg.with_io_backend(sem::to_string(mode_.kind), mode_.batch)
-        .with_cache_fraction(mode_.cache_fraction);
+    scfg.with_cache_fraction(mode_.cache_fraction);
     return scfg;
   }
 
   /// Run `fn` against `g` in this mode's storage: directly for in-memory,
-  /// or via a fresh on-disk .agt + sem_csr routed through the backend.
+  /// or via a fresh on-disk .agt + sem_csr.
   template <typename Fn>
   auto on_mode(const csr32& g, const std::string& tag, Fn&& fn) {
     if (!mode_.sem) return fn(g);
@@ -112,7 +94,7 @@ class Differential : public ::testing::TestWithParam<int> {
   /// the hybrid traversals and directed dobfs require one. In memory that
   /// is ensure_reverse() on a copy; semi-externally it is the on-disk
   /// ".rev" companion written by write_graph_with_reverse and opened as a
-  /// nested sem_csr routed through the same backend.
+  /// nested sem_csr.
   template <typename Fn>
   auto on_mode_reverse(const csr32& g, const std::string& tag, Fn&& fn) {
     if (!mode_.sem) {
@@ -290,8 +272,8 @@ TEST_P(Differential, DobfsMatchesSerialOnDirected) {
 // Incremental rows (docs/dynamic_graphs.md): the delta-overlay repair
 // drivers must agree with a full recompute over the same pinned view in
 // every execution mode — the overlay composes with whatever storage the
-// mode axis supplies (in-memory CSR, or sem_csr through each compiled
-// backend, with or without a cache). Deletes are in play, so every row
+// mode axis supplies (in-memory CSR, or sem_csr with or without a
+// cache). Deletes are in play, so every row
 // runs through on_mode_reverse. Labels chain: each epoch repairs the
 // previous epoch's repaired labels, so a divergence compounds instead of
 // washing out.

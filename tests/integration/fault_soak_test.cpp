@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "asyncgt.hpp"
 #include "telemetry/io_recorder.hpp"
@@ -45,6 +47,14 @@ class FaultSoak : public ::testing::Test {
     visitor_queue_config cfg;
     cfg.num_threads = n;
     return cfg;
+  }
+
+  /// Vertices a checkpoint holds a label for.
+  static std::size_t labelled(const std::vector<dist_t>& label) {
+    return static_cast<std::size_t>(
+        std::count_if(label.begin(), label.end(), [](dist_t l) {
+          return l != infinite_distance<dist_t>;
+        }));
   }
 
   /// Options of a job that checkpoints on error to `path`.
@@ -208,11 +218,15 @@ TEST_F(FaultSoak, CheckpointOnErrorResumesToIdenticalFixedPoint) {
   const auto clean = async_bfs(clean_g, vertex32{0}, threads(8));
 
   // Storage fails mid-run (fatal injection), the run aborts, and the
-  // partial labels land in the emergency checkpoint...
+  // partial labels land in the emergency checkpoint. The fault is a bad
+  // range over the back half of the file, not a per-read probability: how
+  // many preads a run makes depends on how many reads its block windows
+  // serve, but the run always reads the front half (vertex 0's list) first
+  // and always reaches a list stored in the back half.
   sem::fault_config cfg;
-  cfg.p_eio = 0.05;  // let some progress happen before the fatal hit
+  cfg.bad_begin = std::filesystem::file_size(path) / 2;
+  cfg.bad_end = std::filesystem::file_size(path);
   cfg.fatal = true;
-  cfg.seed = 13;
   sem::fault_injector inj(cfg);
   sem::sem_csr32 faulty_g(path);
   faulty_g.set_retry_policy(fast_retry(2));
@@ -224,6 +238,7 @@ TEST_F(FaultSoak, CheckpointOnErrorResumesToIdenticalFixedPoint) {
   // ...then the device heals (no injector) and the resumed run must land
   // on the exact fixed point of the never-faulted run.
   const auto cp = load_checkpoint<vertex32>(ckpt, checkpoint_kind::bfs);
+  EXPECT_GT(labelled(cp.label), 1u);  // progress beyond the seed
   sem::sem_csr32 healed_g(path);
   const auto resumed = resume_bfs(healed_g, cp, threads(8));
   EXPECT_EQ(resumed.level, clean.level);
@@ -238,10 +253,12 @@ TEST_F(FaultSoak, SsspCheckpointOnErrorResumes) {
   sem::sem_csr32 clean_g(path);
   const auto clean = async_sssp(clean_g, vertex32{0}, threads(8));
 
+  // A bad range over the back half of the weights section (see the BFS
+  // case): vertex 0's weights sit in front of it.
   sem::fault_config cfg;
-  cfg.p_eio = 0.05;
+  cfg.bad_begin = std::filesystem::file_size(path) / 4 * 3;
+  cfg.bad_end = std::filesystem::file_size(path);
   cfg.fatal = true;
-  cfg.seed = 17;
   sem::fault_injector inj(cfg);
   sem::sem_csr32 faulty_g(path);
   faulty_g.set_retry_policy(fast_retry(2));
@@ -251,6 +268,7 @@ TEST_F(FaultSoak, SsspCheckpointOnErrorResumes) {
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
   const auto cp = load_checkpoint<vertex32>(ckpt, checkpoint_kind::sssp);
+  EXPECT_GT(labelled(cp.label), 1u);
   sem::sem_csr32 healed_g(path);
   const auto resumed = resume_sssp(healed_g, cp, threads(8));
   EXPECT_EQ(resumed.dist, clean.dist);

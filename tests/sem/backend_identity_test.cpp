@@ -1,21 +1,20 @@
-// Backend-identity properties (`ctest -L backend`; docs/io_backends.md):
-// whatever transport moves the bytes, the traversal must not be able to
-// tell. Every compiled io_backend is held to bit-identical labels and visit
-// counts against the sync baseline — across batch depths, across the
-// weighted dual-stream (targets + weights) enqueue path, and under injected
-// transient faults. The one permitted divergence is the failure mode: a
-// merged batch that hits a permanently bad range must abort the traversal
-// with the failing byte range in the message, exactly as sync would.
+// Read-path identity properties (`ctest -L backend`): the block windows
+// change how many preads a traversal makes, never what it computes. SEM
+// BFS, weighted SSSP (two streams per adjacency: targets and weights) and
+// CC labels must equal the serial baselines, also under injected transient
+// faults, and a permanently bad range must abort the traversal with the
+// failing request's own byte range in the message.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "asyncgt.hpp"
-#include "sem/io_backend.hpp"
+#include "baselines/serial_bfs.hpp"
+#include "baselines/serial_cc.hpp"
+#include "baselines/serial_sssp.hpp"
 
 namespace asyncgt {
 namespace {
@@ -35,9 +34,9 @@ class BackendIdentity : public ::testing::Test {
     return p;
   }
 
-  visitor_queue_config cfg() const {
+  static visitor_queue_config cfg(std::size_t threads = 8) {
     visitor_queue_config c;
-    c.num_threads = 8;
+    c.num_threads = threads;
     c.flush_batch = 1;
     c.secondary_vertex_sort = true;
     return c;
@@ -51,106 +50,79 @@ class BackendIdentity : public ::testing::Test {
     return p;
   }
 
-  /// Open the on-disk graph through a specific backend, optionally under
-  /// fault injection.
-  sem::sem_csr32 open(const std::string& path, sem::io_backend_kind kind,
-                      std::uint32_t batch,
-                      sem::fault_injector* inj = nullptr) {
-    sem::sem_csr32 sg(path);
-    if (inj != nullptr) {
-      sg.set_retry_policy(fast_retry(4));
-      sg.set_fault_injector(inj);
-    }
-    sem::io_backend_config bcfg;
-    bcfg.kind = kind;
-    bcfg.batch = batch;
-    sg.set_io_backend(bcfg);
-    return sg;
-  }
-
-  /// Every compiled backend that can actually run on this host.
-  static std::vector<sem::io_backend_kind> runnable() {
-    std::vector<sem::io_backend_kind> out;
-    for (const auto kind : sem::compiled_io_backends()) {
-      if (sem::io_backend_available(kind)) out.push_back(kind);
-    }
-    return out;
-  }
-
   std::filesystem::path dir_;
 };
 
-TEST_F(BackendIdentity, BfsLabelsAndVisitCountsMatchSyncAcrossBatches) {
+TEST_F(BackendIdentity, BfsLabelsAndVisitCountsMatchSerial) {
   const csr32 g = rmat_graph<vertex32>(rmat_a(8, 5));
   const std::string path = write_tmp(g, "bfs");
-  auto ref_g = open(path, sem::io_backend_kind::sync, 8);
-  const auto ref = async_bfs(ref_g, vertex32{0}, cfg());
-  for (const auto kind : runnable()) {
-    for (const std::uint32_t batch : {1u, 2u, 8u, 64u}) {
-      auto sg = open(path, kind, batch);
-      const auto got = async_bfs(sg, vertex32{0}, cfg());
-      EXPECT_EQ(got.level, ref.level)
-          << sem::to_string(kind) << " batch=" << batch;
-      EXPECT_EQ(got.visited_count(), ref.visited_count())
-          << sem::to_string(kind) << " batch=" << batch;
-    }
+  const auto ref = serial_bfs(g, vertex32{0});
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    sem::sem_csr32 sg(path);
+    const auto got = async_bfs(sg, vertex32{0}, cfg(threads));
+    EXPECT_EQ(got.level, ref.level) << "threads=" << threads;
+    EXPECT_EQ(got.visited_count(), ref.visited_count())
+        << "threads=" << threads;
+    // The semi-sorted visit order lands consecutive reads in one window.
+    const auto c = sg.backend().counters();
+    EXPECT_GT(c.window_hits, 0u) << "threads=" << threads;
+    EXPECT_EQ(c.window_hits + c.batches, c.requests)
+        << "threads=" << threads;
   }
 }
 
-TEST_F(BackendIdentity, WeightedDualStreamSsspMatchesSync) {
-  // SSSP reads two interleaved byte streams per vertex (targets + weights)
-  // through the staged enqueue path — the case the per-stream readahead
-  // windows exist for.
+TEST_F(BackendIdentity, WeightedDualStreamSsspMatchesDijkstra) {
+  // SSSP reads two byte streams per vertex (targets + weights), each
+  // through its own window.
   const csr32 g = add_weights(rmat_graph<vertex32>(rmat_a(8, 5)),
                               weight_scheme::log_uniform, 5);
   const std::string path = write_tmp(g, "sssp");
-  auto ref_g = open(path, sem::io_backend_kind::sync, 8);
-  const auto ref = async_sssp(ref_g, vertex32{0}, cfg());
-  for (const auto kind : runnable()) {
-    for (const std::uint32_t batch : {2u, 16u}) {
-      auto sg = open(path, kind, batch);
-      EXPECT_EQ(async_sssp(sg, vertex32{0}, cfg()).dist, ref.dist)
-          << sem::to_string(kind) << " batch=" << batch;
-    }
+  const auto ref = dijkstra_sssp(g, vertex32{0});
+  for (const std::size_t threads : {1u, 8u}) {
+    sem::sem_csr32 sg(path);
+    EXPECT_EQ(async_sssp(sg, vertex32{0}, cfg(threads)).dist, ref.dist)
+        << "threads=" << threads;
+    EXPECT_GT(sg.backend().counters().window_hits, 0u)
+        << "threads=" << threads;
   }
 }
 
-TEST_F(BackendIdentity, CcMatchesSync) {
+TEST_F(BackendIdentity, CcMatchesSerial) {
   const csr32 g = rmat_graph_undirected<vertex32>(rmat_a(8, 9));
   const std::string path = write_tmp(g, "cc");
-  auto ref_g = open(path, sem::io_backend_kind::sync, 8);
-  const auto ref = async_cc(ref_g, cfg());
-  for (const auto kind : runnable()) {
-    auto sg = open(path, kind, 8);
-    EXPECT_EQ(async_cc(sg, cfg()).component, ref.component)
-        << sem::to_string(kind);
-  }
+  sem::sem_csr32 sg(path);
+  EXPECT_EQ(async_cc(sg, cfg()).component, serial_cc(g).component);
 }
 
-TEST_F(BackendIdentity, TransientFaultsAreInvisibleOnEveryBackend) {
+TEST_F(BackendIdentity, TransientFaultsAreInvisible) {
   const csr32 g = rmat_graph<vertex32>(rmat_a(8, 5));
   const std::string path = write_tmp(g, "faulted");
-  auto clean_g = open(path, sem::io_backend_kind::sync, 8);
-  const auto ref = async_bfs(clean_g, vertex32{0}, cfg());
-  for (const auto kind : runnable()) {
-    sem::fault_config fc;
-    fc.p_eio = 0.1;  // one transient EIO per ~10 merged ranges
-    fc.fail_attempts = 1;
-    fc.seed = 13;
-    sem::fault_injector inj(fc);
-    auto sg = open(path, kind, 8, &inj);
-    const auto got = async_bfs(sg, vertex32{0}, cfg());
-    EXPECT_EQ(got.level, ref.level) << sem::to_string(kind);
-    EXPECT_EQ(got.visited_count(), ref.visited_count())
-        << sem::to_string(kind);
-    EXPECT_GT(inj.counters().errors, 0u) << sem::to_string(kind);
-  }
+  const auto ref = serial_bfs(g, vertex32{0});
+  sem::fault_config fc;
+  // About one pread per two or three requests: a fault on one pread in
+  // four keeps the injected count near one per ten requests.
+  fc.p_eio = 0.25;
+  fc.fail_attempts = 1;
+  fc.seed = 13;
+  sem::fault_injector inj(fc);
+  sem::sem_csr32 sg(path);
+  sg.set_retry_policy(fast_retry(4));
+  sg.set_fault_injector(&inj);
+  const auto got = async_bfs(sg, vertex32{0}, cfg());
+  EXPECT_EQ(got.level, ref.level);
+  EXPECT_EQ(got.visited_count(), ref.visited_count());
+  const auto c = sg.backend().counters();
+  // One fault plan per pread, a fault on about a quarter of them, and every
+  // fault retried to success.
+  EXPECT_EQ(inj.counters().ops, c.batches);
+  EXPECT_GE(inj.counters().errors * 8, c.batches);
+  EXPECT_EQ(c.fallbacks, 0u);
 }
 
 TEST_F(BackendIdentity, TornBatchAbortsWithTheFailingByteRange) {
-  // A permanently bad sector range under a merged batch: the split retries
-  // exhaust the budget and the traversal must abort, carrying the bad
-  // slice's own [offset, length) — not the merged batch's — so the operator
+  // A permanently bad sector range under the windows: each request falls
+  // back to its exact bytes, exhausts the budget there, and the traversal
+  // aborts carrying that request's own [offset, length), so the operator
   // can map the abort to a disk region.
   const csr32 g = rmat_graph<vertex32>(rmat_a(8, 5));
   const std::string path = write_tmp(g, "torn");
@@ -158,7 +130,9 @@ TEST_F(BackendIdentity, TornBatchAbortsWithTheFailingByteRange) {
   fc.bad_begin = 0;  // every adjacency read sits on the bad range
   fc.bad_end = std::filesystem::file_size(path);
   sem::fault_injector inj(fc);
-  auto sg = open(path, sem::io_backend_kind::coalescing, 8, &inj);
+  sem::sem_csr32 sg(path);
+  sg.set_retry_policy(fast_retry(4));
+  sg.set_fault_injector(&inj);
   try {
     async_bfs(sg, vertex32{0}, cfg());
     FAIL() << "expected traversal_aborted";
@@ -179,18 +153,19 @@ TEST_F(BackendIdentity, TornBatchAbortsWithTheFailingByteRange) {
           << what;
     }
   }
-  EXPECT_GE(sg.backend().counters().split_batches, 1u);
+  EXPECT_GE(sg.backend().counters().fallbacks, 1u);
 }
 
 TEST_F(BackendIdentity, MoveRebindsTheBackendToTheMovedFile) {
   const csr32 g = rmat_graph<vertex32>(rmat_a(8, 5));
   const std::string path = write_tmp(g, "moved");
-  auto ref_g = open(path, sem::io_backend_kind::sync, 8);
-  const auto ref = async_bfs(ref_g, vertex32{0}, cfg());
-  auto a = open(path, sem::io_backend_kind::coalescing, 4);
+  sem::sem_csr32 a(path);
+  (void)async_bfs(a, vertex32{0}, cfg());  // fill a's windows
   sem::sem_csr32 b(std::move(a));
-  EXPECT_EQ(b.backend().kind(), sem::io_backend_kind::coalescing);
-  EXPECT_EQ(async_bfs(b, vertex32{0}, cfg()).level, ref.level);
+  EXPECT_EQ(b.backend().counters().requests, 0u);
+  EXPECT_EQ(async_bfs(b, vertex32{0}, cfg()).level,
+            serial_bfs(g, vertex32{0}).level);
+  EXPECT_GT(b.backend().counters().requests, 0u);
 }
 
 }  // namespace

@@ -221,8 +221,8 @@ TEST_F(EdgeFileFault, MoveCarriesInjectorAndPolicy) {
 
 TEST_F(EdgeFileFault, GiveUpMessageCarriesOffsetAndRequestGeometry) {
   // Regression: short-read/give-up messages once said only "N bytes
-  // failed"; debugging a batch-split retry needs the failing position AND
-  // the original request range (docs/io_backends.md).
+  // failed"; debugging a failed read needs the failing position AND the
+  // original request range.
   fault_config cfg;
   cfg.p_eio = 1.0;
   cfg.fail_attempts = 10;
@@ -261,35 +261,6 @@ TEST_F(EdgeFileFault, FileShrankMidReadReportsTheFailingPosition) {
     EXPECT_EQ(e.offset(), 1536u);
     EXPECT_EQ(e.bytes(), 1024u);
   }
-}
-
-TEST_F(EdgeFileFault, BatchSplitFillsHealthySlicesAroundABadOne) {
-  // readv_at's split fallback must complete every clean slice — including
-  // those staged after the bad one — before rethrowing the bad slice's
-  // error with its own geometry.
-  fault_config cfg;
-  cfg.bad_begin = 1024;
-  cfg.bad_end = 2048;
-  fault_injector inj(cfg);
-  edge_file f(path_);
-  f.set_retry_policy(fast_retry(1));
-  f.set_fault_injector(&inj);
-  std::vector<char> b0(1024), b1(1024), b2(1024);
-  const io_slice slices[] = {{b0.data(), 1024},
-                             {b1.data(), 1024},
-                             {b2.data(), 1024}};
-  try {
-    f.readv_at(0, slices, 3);
-    FAIL() << "expected io_error";
-  } catch (const io_error& e) {
-    EXPECT_EQ(e.offset(), 1024u);  // the bad slice, not the batch
-    EXPECT_EQ(e.bytes(), 1024u);
-    EXPECT_NE(std::string(e.what()).find("(request [1024, +1024))"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(std::memcmp(b0.data(), payload_.data(), 1024), 0);
-  EXPECT_EQ(std::memcmp(b2.data(), payload_.data() + 2048, 1024), 0);
 }
 
 // ---- stall mode (docs/robustness.md) ------------------------------------

@@ -7,14 +7,13 @@
 //   * with_reverse materializing a separate reverse cache/heat pair;
 //   * from_options mapping (duck-typed traversal_options shape), including
 //     the negative-cache_fraction "caller decides" convention;
-//   * unknown backend names and missing files throwing at open().
+//   * missing files throwing at open().
 #include "sem/sem_config.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 
 #include "gen/rmat.hpp"
@@ -105,8 +104,6 @@ TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {
   // Duck-typed stand-in for service-layer traversal_options (sem_config
   // deliberately never includes the service layer).
   struct options_shape {
-    std::string io_backend = "coalescing";
-    std::uint32_t io_batch = 16;
     std::uint32_t io_retries = 7;
     std::uint32_t io_backoff_us = 10;
     double cache_fraction = -1.0;
@@ -114,8 +111,6 @@ TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {
 
   sem_config c = sem_config::from_options(t, path_);
   EXPECT_EQ(c.path(), path_);
-  EXPECT_EQ(c.io_backend_name(), "coalescing");
-  EXPECT_EQ(c.io_batch(), 16u);
   // Negative cache_fraction means "caller decides": the builder default (0,
   // no cache) survives until the call site resolves its own default.
   EXPECT_EQ(c.cache_fraction(), 0.0);
@@ -126,8 +121,6 @@ TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {
 }
 
 TEST_F(SemConfigTest, UnknownNamesThrowAtOpen) {
-  EXPECT_THROW(sem_config(path_).with_io_backend("floppy").open<vertex32>(),
-               std::invalid_argument);
   EXPECT_THROW(sem_config((dir_ / "missing.agt").string()).open<vertex32>(),
                std::filesystem::filesystem_error);
 }

@@ -1,4 +1,4 @@
-// Reads ahead (docs/visitor_queue.md, docs/io_backends.md): a traversal
+// Reads ahead (docs/visitor_queue.md): a traversal
 // lane books the device reads of several popped visitors before it sleeps
 // on the earliest one, so each lane keeps up to ceil(2 x channels / lanes)
 // reads in flight and the lanes together about two per channel. These
@@ -6,7 +6,7 @@
 //   * ssd_model::begin_read/end_read overlap from one thread and book the
 //     same counters as read();
 //   * BFS, SSSP (weighted: two ranges per read) and CC labels equal the
-//     serial baselines across lanes x cache x heat x backend, with
+//     serial baselines across lanes x cache x heat, with
 //     visits == pushes;
 //   * every expanded adjacency is charged exactly once;
 //   * a single lane keeps more reads in flight than the device has
@@ -29,7 +29,6 @@
 #include "baselines/serial_cc.hpp"
 #include "baselines/serial_sssp.hpp"
 #include "sem/block_heat.hpp"
-#include "sem/io_backend.hpp"
 #include "util/timer.hpp"
 
 namespace asyncgt {
@@ -110,7 +109,7 @@ class SemPipelineGraphs : public ::testing::Test {
   enum class cache_size { none, tenth, whole };
 
   static void wire(wired& w, const std::string& path, sem::ssd_model& dev,
-                   cache_size cs, bool heat, sem::io_backend_kind kind) {
+                   cache_size cs, bool heat) {
     const std::uint64_t blocks =
         std::filesystem::file_size(path) / dev.params().block_bytes + 1;
     if (cs != cache_size::none) {
@@ -121,16 +120,12 @@ class SemPipelineGraphs : public ::testing::Test {
       w.heat.emplace(w.g->heat_blocks_for(), dev.params().block_bytes);
       w.g->set_block_heat(&*w.heat);
     }
-    sem::io_backend_config bcfg;
-    bcfg.kind = kind;
-    bcfg.batch = 8;
-    w.g->set_io_backend(bcfg);
   }
 
   std::filesystem::path dir_;
 };
 
-TEST_F(SemPipelineGraphs, LabelsMatchSerialAcrossLanesCacheHeatBackends) {
+TEST_F(SemPipelineGraphs, LabelsMatchSerialAcrossLanesCacheHeat) {
   const csr32 directed = rmat_graph<vertex32>(rmat_a(10, 3));
   const csr32 weighted =
       add_weights(directed, weight_scheme::log_uniform, 3);
@@ -147,28 +142,24 @@ TEST_F(SemPipelineGraphs, LabelsMatchSerialAcrossLanesCacheHeatBackends) {
     for (const cache_size cs :
          {cache_size::none, cache_size::tenth, cache_size::whole}) {
       for (const bool heat : {false, true}) {
-        for (const auto kind : {sem::io_backend_kind::sync,
-                                sem::io_backend_kind::coalescing}) {
-          const std::string where =
-              "threads=" + std::to_string(threads) +
-              " cache=" + std::to_string(static_cast<int>(cs)) +
-              " heat=" + std::to_string(heat) + " backend=" +
-              sem::to_string(kind);
-          wired d, w, u;
-          wire(d, dpath, dev, cs, heat, kind);
-          wire(w, wpath, dev, cs, heat, kind);
-          wire(u, upath, dev, cs, heat, kind);
-          const auto bfs = async_bfs(*d.g, vertex32{0}, cfg(threads));
-          EXPECT_EQ(bfs.level, bfs_ref.level) << where;
-          EXPECT_EQ(bfs.stats.visits, bfs.stats.pushes) << where;
-          const auto sssp = async_sssp(*w.g, vertex32{0}, cfg(threads));
-          EXPECT_EQ(sssp.dist, sssp_ref.dist) << where;
-          EXPECT_EQ(sssp.stats.visits, sssp.stats.pushes) << where;
-          const auto cc = async_cc(*u.g, cfg(threads));
-          EXPECT_EQ(cc.component, cc_ref.component) << where;
-          EXPECT_EQ(cc.stats.visits, cc.stats.pushes) << where;
-          EXPECT_EQ(dev.inflight(), 0u) << where;
-        }
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " cache=" +
+                                  std::to_string(static_cast<int>(cs)) +
+                                  " heat=" + std::to_string(heat);
+        wired d, w, u;
+        wire(d, dpath, dev, cs, heat);
+        wire(w, wpath, dev, cs, heat);
+        wire(u, upath, dev, cs, heat);
+        const auto bfs = async_bfs(*d.g, vertex32{0}, cfg(threads));
+        EXPECT_EQ(bfs.level, bfs_ref.level) << where;
+        EXPECT_EQ(bfs.stats.visits, bfs.stats.pushes) << where;
+        const auto sssp = async_sssp(*w.g, vertex32{0}, cfg(threads));
+        EXPECT_EQ(sssp.dist, sssp_ref.dist) << where;
+        EXPECT_EQ(sssp.stats.visits, sssp.stats.pushes) << where;
+        const auto cc = async_cc(*u.g, cfg(threads));
+        EXPECT_EQ(cc.component, cc_ref.component) << where;
+        EXPECT_EQ(cc.stats.visits, cc.stats.pushes) << where;
+        EXPECT_EQ(dev.inflight(), 0u) << where;
       }
     }
   }
@@ -176,8 +167,8 @@ TEST_F(SemPipelineGraphs, LabelsMatchSerialAcrossLanesCacheHeatBackends) {
 
 TEST_F(SemPipelineGraphs, EveryExpansionIsChargedOnce) {
   // Without a cache every expansion of a non-empty list charges one device
-  // read per range, and the sync backend takes one request per range: the
-  // two counts agree exactly when no booking is charged twice or dropped.
+  // read per range, and the read path counts one request per range: the two
+  // counts agree exactly when no booking is charged twice or dropped.
   const csr32 directed = rmat_graph<vertex32>(rmat_a(10, 3));
   const csr32 weighted =
       add_weights(directed, weight_scheme::uniform, 3);

@@ -85,15 +85,18 @@ TEST(TraversalOptions, FromFlagsParsesEveryKnob) {
 }
 
 TEST(TraversalOptions, FromFlagsRejectsRemovedHotBlockFlags) {
-  // The hot-block scheduler's flags are gone; the option parser stores any
-  // key, so from_flags must refuse them by name instead of ignoring them.
+  // The hot-block scheduler's flags and the I/O backend choice are gone;
+  // the option parser stores any key, so from_flags must refuse them by
+  // name instead of ignoring them.
   const struct {
     const char* flag;
     const char* name;
   } cases[] = {{"--ordering=hot", "hot"},
                {"--prefetch-hot", "--prefetch-hot"},
                {"--cache-policy=pressure", "--cache-policy"},
-               {"--hot-threshold=4", "--hot-threshold"}};
+               {"--hot-threshold=4", "--hot-threshold"},
+               {"--io-backend=coalescing", "--io-backend"},
+               {"--io-batch=8", "--io-batch"}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.flag);
     const char* argv[] = {"prog", c.flag};

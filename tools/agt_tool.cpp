@@ -100,9 +100,6 @@ int usage() {
                "  --stall-grace-ms N     cancel when no progress for N ms\n"
                "                         while running (exit 4)\n"
                "  --priority P           low|normal|high or an integer\n"
-               "and SEM I/O backend flags (docs/io_backends.md):\n"
-               "  --io-backend NAME      sync|coalescing|uring (default sync)\n"
-               "  --io-batch N           coalescing batch depth (default 8)\n"
                "checkpoint flags:\n"
                "  --checkpoint-on-error F  bfs/sssp: save emergency\n"
                "                         checkpoint to F on abort (exit 3)\n"
@@ -161,6 +158,15 @@ csr32 generate_graph(const options& opt) {
 }
 
 int cmd_generate(const options& opt) {
+  // Type and scale are flags; a positional would otherwise be ignored and
+  // silently produce the default graph.
+  if (opt.positional().size() > 1) {
+    std::fprintf(stderr,
+                 "generate: unexpected argument '%s' (use --type=NAME "
+                 "--scale=N)\n",
+                 opt.positional()[1].c_str());
+    return usage();
+  }
   const std::string out = opt.get_string("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out=FILE is required\n");
@@ -412,8 +418,8 @@ int run_traversal(const options& opt, const char* name, F&& run) {
                    reverse_path_for(path).c_str());
       return 2;
     }
-    // One builder declaration replaces the old five-setter wiring: backend,
-    // cache, retries, reverse view, fault injector, and recorder all land
+    // One builder declaration replaces the old setter wiring: cache,
+    // retries, reverse view, fault injector, and recorder all land
     // through sem_config (sem_config.hpp).
     // Demo mode enables the cache (the SEM report should show hit/miss/
     // eviction dynamics); explicit --sem keeps the seed default of no cache
@@ -445,12 +451,9 @@ int run_traversal(const options& opt, const char* name, F&& run) {
     std::printf("device: %s reads (%s MiB)\n", fmt_count(c.reads).c_str(),
                 fmt_count(c.read_bytes >> 20).c_str());
     const auto bc = g->backend().counters();
-    std::printf("io backend: %s — %s requests in %s syscall batches "
-                "(%s coalesced, peak %s in flight)\n",
-                g->backend().name(), fmt_count(bc.requests).c_str(),
-                fmt_count(bc.batches).c_str(),
-                fmt_count(bc.coalesced_ranges).c_str(),
-                fmt_count(bc.inflight_peak).c_str());
+    std::printf("host reads: %s requests in %s preads (%s window hits)\n",
+                fmt_count(bc.requests).c_str(), fmt_count(bc.batches).c_str(),
+                fmt_count(bc.window_hits).c_str());
     if (bundle.cache != nullptr) {
       std::printf("cache: %.1f%% hit rate, %s evictions\n",
                   100.0 * bundle.cache->counters().hit_rate(),
@@ -482,14 +485,12 @@ int run_traversal(const options& opt, const char* name, F&& run) {
       s.set("time_scale", params.time_scale);
       s.set("ssd", bench::to_json(c));
       json_value bj = json_value::object();
-      bj.set("name", std::string(g->backend().name()));
-      bj.set("batch", static_cast<std::uint64_t>(topt.io_batch));
+      bj.set("name", std::string(sem::io_backend::name));
       bj.set("requests", bc.requests);
       bj.set("batches", bc.batches);
       bj.set("bytes_issued", bc.bytes_issued);
-      bj.set("coalesced_ranges", bc.coalesced_ranges);
-      bj.set("split_batches", bc.split_batches);
-      bj.set("inflight_peak", bc.inflight_peak);
+      bj.set("window_hits", bc.window_hits);
+      bj.set("fallbacks", bc.fallbacks);
       s.set("backend", std::move(bj));
       if (bundle.cache != nullptr) {
         s.set("cache", bench::to_json(bundle.cache->counters()));

@@ -13,8 +13,8 @@
 # (watchdog deadline/stall firing racing completion, admission decisions
 # from concurrent submitters, the 4x-oversubscribed mixed-priority mix —
 # docs/robustness.md), the differential battery
-# (async vs serial labels across storage modes), the I/O-backend battery
-# (per-thread coalescing lanes, backend-identity under injected faults),
+# (async vs serial labels across storage modes), the SEM read-path battery
+# (per-thread block windows, read-path identity under injected faults),
 # and the hybrid-traversal battery (the bottom-up sweeps' range-partitioned
 # parallel writes and the frontier estimator's worker-side sampling), the
 # sem_config bundle wiring, and the dynamic-graph battery (delta batches
