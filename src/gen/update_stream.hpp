@@ -17,12 +17,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "graph/delta_overlay.hpp"
 #include "graph/types.hpp"
+#include "util/hash.hpp"
 
 namespace asyncgt {
 
@@ -38,40 +38,59 @@ struct update_stream_params {
 
 namespace detail {
 
-struct pair_key_hash {
-  std::size_t operator()(
-      const std::pair<std::uint64_t, std::uint64_t>& p) const noexcept {
-    // splitmix-style combine; ids fit 32 bits in every shipped config but
-    // stay correct for vertex64.
-    std::uint64_t h = p.first * 0x9E3779B97F4A7C15ull;
-    h ^= p.second + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// Live-edge set with O(1) insert, erase, and uniform random sampling:
-/// a vector of pairs plus a position map with swap-remove.
+/// Live-edge set with O(1) insert, erase, and uniform random sampling: a
+/// vector of pairs (sampled by index, erased by swap-remove) plus an
+/// open-addressed, linear-probing table of indices into it (erased by
+/// backward shift, so no tombstones pile up under churn). The table stays
+/// at most half full and lives in one flat array.
 class edge_pool {
  public:
   using key = std::pair<std::uint64_t, std::uint64_t>;
 
-  bool contains(const key& k) const { return pos_.count(k) != 0; }
+  edge_pool() = default;
+  /// Sized for `expected` live pairs without growing.
+  explicit edge_pool(std::size_t expected) {
+    live_.reserve(expected);
+    rehash(table_size_for(expected));
+  }
+
+  bool contains(const key& k) const { return find(k) != npos; }
   std::size_t size() const noexcept { return live_.size(); }
 
   bool insert(const key& k) {
-    if (!pos_.emplace(k, live_.size()).second) return false;
+    if (2 * (live_.size() + 1) > slots_.size()) {
+      rehash(table_size_for(live_.size() + 1));
+    }
+    std::size_t s = home(k);
+    for (; slots_[s] != empty; s = (s + 1) & mask_) {
+      if (live_[slots_[s]] == k) return false;
+    }
+    slots_[s] = live_.size();
     live_.push_back(k);
     return true;
   }
 
   bool erase(const key& k) {
-    auto it = pos_.find(k);
-    if (it == pos_.end()) return false;
-    const std::size_t i = it->second;
-    live_[i] = live_.back();
-    pos_[live_[i]] = i;
+    std::size_t s = find(k);
+    if (s == npos) return false;
+    const std::size_t i = slots_[s];
+    // Backward shift: pull later entries of the probe run into the hole
+    // unless that would move them before their home slot.
+    for (std::size_t j = (s + 1) & mask_; slots_[j] != empty;
+         j = (j + 1) & mask_) {
+      const std::size_t h = home(live_[slots_[j]]);
+      if (((j - h) & mask_) >= ((j - s) & mask_)) {
+        slots_[s] = slots_[j];
+        s = j;
+      }
+    }
+    slots_[s] = empty;
+    const std::size_t last = live_.size() - 1;
+    if (i != last) {
+      slots_[find(live_[last])] = i;
+      live_[i] = live_[last];
+    }
     live_.pop_back();
-    pos_.erase(it);
     return true;
   }
 
@@ -82,8 +101,43 @@ class edge_pool {
   }
 
  private:
+  static constexpr std::size_t empty = static_cast<std::size_t>(-1);
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Smallest power of two holding `n` pairs at most half full.
+  static std::size_t table_size_for(std::size_t n) {
+    std::size_t cap = 16;
+    while (cap < 2 * n) cap *= 2;
+    return cap;
+  }
+
+  std::size_t home(const key& k) const noexcept {
+    return static_cast<std::size_t>(
+               mix64(k.first * 0x9E3779B97F4A7C15ull + k.second)) &
+           mask_;
+  }
+
+  std::size_t find(const key& k) const {
+    if (slots_.empty()) return npos;
+    for (std::size_t s = home(k); slots_[s] != empty; s = (s + 1) & mask_) {
+      if (live_[slots_[s]] == k) return s;
+    }
+    return npos;
+  }
+
+  void rehash(std::size_t cap) {
+    slots_.assign(cap, empty);
+    mask_ = cap - 1;
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      std::size_t s = home(live_[i]);
+      while (slots_[s] != empty) s = (s + 1) & mask_;
+      slots_[s] = i;
+    }
+  }
+
   std::vector<key> live_;
-  std::unordered_map<key, std::size_t, pair_key_hash> pos_;
+  std::vector<std::size_t> slots_;  ///< index into live_, or empty
+  std::size_t mask_ = 0;
 };
 
 }  // namespace detail
@@ -98,7 +152,8 @@ std::vector<delta_batch<typename Graph::vertex_id>> generate_update_stream(
   std::vector<delta_batch<V>> stream;
   if (n < 2) return stream;
 
-  detail::edge_pool live;
+  detail::edge_pool live(params.symmetric ? g.num_edges() / 2
+                                          : g.num_edges());
   for (std::uint64_t u = 0; u < n; ++u) {
     g.for_each_out_edge(static_cast<V>(u), [&](V v, weight_t) {
       std::uint64_t a = u;

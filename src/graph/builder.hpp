@@ -4,11 +4,26 @@
 // duplicate-edge removal ("graphs with unique edges"), self-loop removal,
 // and symmetrization by adding reverse edges ("undirected versions of these
 // graphs ... were created by adding reverse edges").
+//
+// The build is a counting sort by source: count each source's out-degree
+// (a reverse copy counts at its destination in place, never appended),
+// prefix-sum the counts, scatter every target (and weight) into its
+// source's slots, then sort and dedup each adjacency on its own and compact.
+// Above parallel_build_threshold edge slots the passes run on up to
+// hardware_concurrency() threads over contiguous chunks of the edge list,
+// each with its own degree histogram, so the scatter stays stable: a
+// source's slots fill in input order, originals before reversed copies —
+// the order an unsorted, undeduplicated build keeps.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -31,12 +46,248 @@ struct build_options {
   bool build_reverse = false;
 };
 
-/// Builds a CSR with `n` vertices from `edges`. Edges referencing vertices
-/// >= n are rejected. The input vector is consumed (sorted in place).
+namespace detail {
+
+/// Edge slots (input edges, doubled when symmetrizing) from which
+/// build_csr runs its passes on several threads (build_threads). Below it
+/// they run on the caller, so building many tiny graphs spawns no threads.
+inline constexpr std::uint64_t parallel_build_threshold = 1ull << 16;
+
+/// Runs f(t) for every t in [0, threads): t = 0 on the caller, the rest on
+/// their own std::threads (or on the caller, for parts whose thread could
+/// not be started). The first exception a part throws is rethrown once all
+/// have finished.
+template <typename F>
+void run_parts(std::size_t threads, const F& f) {
+  if (threads <= 1) {
+    f(std::size_t{0});
+    return;
+  }
+  std::exception_ptr error;
+  std::mutex mu;
+  const auto part = [&](std::size_t t) {
+    try {
+      f(t);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  std::size_t spawned = 1;
+  try {
+    for (; spawned < threads; ++spawned) pool.emplace_back(part, spawned);
+  } catch (const std::system_error&) {
+    // Out of threads: the caller runs the parts that did not start.
+  }
+  for (std::size_t t = spawned; t < threads; ++t) part(t);
+  part(0);
+  for (auto& th : pool) th.join();
+  if (error) std::rethrow_exception(error);
+}
+
+/// Width of build_csr's histogram cells: 32 bits whenever every slot index
+/// fits, which halves the histograms.
+inline std::size_t count_bytes(std::uint64_t slots) {
+  return slots <= UINT32_MAX ? 4 : 8;
+}
+
+/// Threads for a build of `slots` edge slots over `n` vertices: one below
+/// the threshold; otherwise hardware_concurrency(), capped twice. The
+/// per-thread histograms (threads x n cells) hold at most a quarter of a
+/// cell per slot, so zeroing and summing them stays cheap next to the
+/// edges, and take no more memory than the offsets and cursor arrays (two
+/// 64-bit words per vertex) of a serial placement, so a build's peak
+/// memory does not grow with the host's core count.
+inline std::size_t build_threads(std::uint64_t slots, std::uint64_t n) {
+  if (slots < parallel_build_threshold) return 1;
+  const std::uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::uint64_t memory_cap = 16 / count_bytes(slots);
+  return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      std::min(slots / (4 * (n + 1)), memory_cap), 1, hw));
+}
+
+/// build_csr with Count-wide histogram cells on exactly `threads` >= 1
+/// threads; the endpoints are already checked.
+template <typename Count, typename VertexId>
+csr_graph<VertexId> build_csr_counting(std::size_t threads, std::uint64_t n,
+                                       std::vector<edge<VertexId>> edges,
+                                       const build_options& opt) {
+  using offset_type = typename csr_graph<VertexId>::offset_type;
+
+  // Virtual edge sequence: the input, then (when symmetrizing) its reverse
+  // copies. Each thread owns one contiguous chunk of it.
+  const std::uint64_t num_input = edges.size();
+  const std::uint64_t slots = num_input * (opt.symmetrize ? 2 : 1);
+  const bool drop_loops = opt.remove_self_loops;
+  const auto for_each_in_chunk = [&](std::size_t t, auto&& f) {
+    const std::uint64_t lo = slots * t / threads;
+    const std::uint64_t hi = slots * (t + 1) / threads;
+    for (std::uint64_t i = lo; i < std::min(hi, num_input); ++i) {
+      const auto& e = edges[i];
+      if (!drop_loops || e.src != e.dst) f(e.src, e.dst, e.weight);
+    }
+    for (std::uint64_t i = std::max(lo, num_input); i < hi; ++i) {
+      const auto& e = edges[i - num_input];
+      if (!drop_loops || e.src != e.dst) f(e.dst, e.src, e.weight);
+    }
+  };
+  const auto vertex_range = [&](std::size_t r) {
+    return std::pair<std::uint64_t, std::uint64_t>{n * r / threads,
+                                                   n * (r + 1) / threads};
+  };
+
+  // Pass 1: per-thread out-degree histograms; any kept weight != 1?
+  std::vector<Count> hist(threads * n, 0);
+  std::vector<char> any_weight(threads, 0);
+  run_parts(threads, [&](std::size_t t) {
+    Count* h = hist.data() + t * n;
+    bool w = false;
+    for_each_in_chunk(t, [&](VertexId s, VertexId, weight_t wt) {
+      ++h[s];
+      w |= wt != 1;
+    });
+    any_weight[t] = w;
+  });
+  bool weighted = std::find(any_weight.begin(), any_weight.end(), 1) !=
+                  any_weight.end();
+
+  // Pass 2: prefix sums. Each thread sums one vertex range; the range
+  // bases are summed serially; then each range turns its histogram cells
+  // into per-thread cursors (thread t's copies of v follow thread t-1's).
+  std::vector<offset_type> range_base(threads + 1, 0);
+  run_parts(threads, [&](std::size_t r) {
+    const auto [lo, hi] = vertex_range(r);
+    offset_type sum = 0;
+    for (std::uint64_t v = lo; v < hi; ++v) {
+      for (std::size_t t = 0; t < threads; ++t) sum += hist[t * n + v];
+    }
+    range_base[r + 1] = sum;
+  });
+  for (std::size_t r = 0; r < threads; ++r) {
+    range_base[r + 1] += range_base[r];
+  }
+  run_parts(threads, [&](std::size_t r) {
+    const auto [lo, hi] = vertex_range(r);
+    auto running = static_cast<Count>(range_base[r]);
+    for (std::uint64_t v = lo; v < hi; ++v) {
+      for (std::size_t t = 0; t < threads; ++t) {
+        const Count c = hist[t * n + v];
+        hist[t * n + v] = running;
+        running += c;
+      }
+    }
+  });
+  const offset_type total = range_base[threads];
+
+  // Pass 3: stable scatter into the source slots. The last thread's cursors
+  // then end each source's slots: they become the offsets once the input
+  // is gone.
+  std::vector<VertexId> targets(total);
+  std::vector<weight_t> weights(weighted ? total : 0);
+  run_parts(threads, [&](std::size_t t) {
+    Count* cursor = hist.data() + t * n;
+    for_each_in_chunk(t, [&](VertexId s, VertexId d, weight_t wt) {
+      const Count slot = cursor[s]++;
+      targets[slot] = d;
+      if (weighted) weights[slot] = wt;
+    });
+  });
+  std::vector<edge<VertexId>>().swap(edges);
+  std::vector<offset_type> offsets(n + 1, 0);
+  run_parts(threads, [&](std::size_t r) {
+    const auto [lo, hi] = vertex_range(r);
+    const Count* end = hist.data() + (threads - 1) * n;
+    for (std::uint64_t v = lo; v < hi; ++v) offsets[v + 1] = end[v];
+  });
+  std::vector<Count>().swap(hist);
+
+  if (opt.remove_duplicates || opt.sort_adjacency) {
+    // Pass 4: sort each adjacency by (dst, weight) and keep the first copy
+    // of each dst — the lowest weight. Vertex ranges split the slots
+    // evenly; kept[v + 1] is v's surviving degree, then its new end.
+    std::vector<std::uint64_t> bound(threads + 1, n);
+    for (std::size_t r = 0; r < threads; ++r) {
+      bound[r] = static_cast<std::uint64_t>(
+          std::lower_bound(offsets.begin(), offsets.end() - 1,
+                           total * r / threads) -
+          offsets.begin());
+    }
+    std::vector<offset_type> kept(opt.remove_duplicates ? n + 1 : 0);
+    std::fill(any_weight.begin(), any_weight.end(), 0);
+    run_parts(threads, [&](std::size_t r) {
+      std::vector<std::pair<VertexId, weight_t>> adj;
+      bool w = false;
+      for (std::uint64_t v = bound[r]; v < bound[r + 1]; ++v) {
+        VertexId* const b = targets.data() + offsets[v];
+        VertexId* const e = targets.data() + offsets[v + 1];
+        std::size_t deg = static_cast<std::size_t>(e - b);
+        if (!weighted) {
+          std::sort(b, e);
+          if (opt.remove_duplicates) deg = std::unique(b, e) - b;
+        } else {
+          weight_t* const wb = weights.data() + offsets[v];
+          adj.resize(deg);
+          for (std::size_t i = 0; i < deg; ++i) adj[i] = {b[i], wb[i]};
+          std::sort(adj.begin(), adj.end());
+          if (opt.remove_duplicates) {
+            deg = std::unique(adj.begin(), adj.end(),
+                              [](const auto& x, const auto& y) {
+                                return x.first == y.first;
+                              }) -
+                  adj.begin();
+          }
+          for (std::size_t i = 0; i < deg; ++i) {
+            b[i] = adj[i].first;
+            wb[i] = adj[i].second;
+            w |= adj[i].second != 1;
+          }
+        }
+        if (opt.remove_duplicates) kept[v + 1] = deg;
+      }
+      any_weight[r] = w;
+    });
+    if (opt.remove_duplicates) {
+      // Dropped duplicates can leave every surviving weight at 1.
+      weighted = std::find(any_weight.begin(), any_weight.end(), 1) !=
+                 any_weight.end();
+      for (std::uint64_t v = 0; v < n; ++v) kept[v + 1] += kept[v];
+      if (kept[n] != total) {
+        // Pass 5: compact the surviving prefix of each slot range.
+        std::vector<VertexId> packed(kept[n]);
+        std::vector<weight_t> packed_w(weighted ? kept[n] : 0);
+        run_parts(threads, [&](std::size_t r) {
+          for (std::uint64_t v = bound[r]; v < bound[r + 1]; ++v) {
+            const offset_type deg = kept[v + 1] - kept[v];
+            std::copy_n(targets.begin() + offsets[v], deg,
+                        packed.begin() + kept[v]);
+            if (weighted) {
+              std::copy_n(weights.begin() + offsets[v], deg,
+                          packed_w.begin() + kept[v]);
+            }
+          }
+        });
+        targets = std::move(packed);
+        weights = std::move(packed_w);
+      }
+      offsets = std::move(kept);
+    }
+  }
+  if (!weighted) std::vector<weight_t>().swap(weights);
+
+  csr_graph<VertexId> g(std::move(offsets), std::move(targets),
+                        std::move(weights));
+  if (opt.build_reverse) g.ensure_reverse();
+  return g;
+}
+
+/// build_csr on exactly `threads` >= 1 threads (the result does not depend
+/// on the count).
 template <typename VertexId>
-csr_graph<VertexId> build_csr(std::uint64_t n,
-                              std::vector<edge<VertexId>> edges,
-                              const build_options& opt = {}) {
+csr_graph<VertexId> build_csr_on(std::size_t threads, std::uint64_t n,
+                                 std::vector<edge<VertexId>> edges,
+                                 const build_options& opt) {
   if (n >= invalid_vertex<VertexId>) {
     throw std::invalid_argument("build_csr: vertex count exceeds id space");
   }
@@ -45,62 +296,29 @@ csr_graph<VertexId> build_csr(std::uint64_t n,
       throw std::invalid_argument("build_csr: edge endpoint out of range");
     }
   }
-
-  if (opt.symmetrize) {
-    const std::size_t original = edges.size();
-    edges.reserve(original * 2);
-    for (std::size_t i = 0; i < original; ++i) {
-      edges.push_back({edges[i].dst, edges[i].src, edges[i].weight});
-    }
+  if (count_bytes(edges.size() * (opt.symmetrize ? 2 : 1)) == 4) {
+    return build_csr_counting<std::uint32_t>(threads, n, std::move(edges),
+                                             opt);
   }
+  return build_csr_counting<std::uint64_t>(threads, n, std::move(edges), opt);
+}
 
-  if (opt.remove_self_loops) {
-    std::erase_if(edges, [](const edge<VertexId>& e) { return e.src == e.dst; });
-  }
+}  // namespace detail
 
-  if (opt.remove_duplicates || opt.sort_adjacency) {
-    std::sort(edges.begin(), edges.end(),
-              [](const edge<VertexId>& a, const edge<VertexId>& b) {
-                if (a.src != b.src) return a.src < b.src;
-                if (a.dst != b.dst) return a.dst < b.dst;
-                return a.weight < b.weight;
-              });
-  }
-  if (opt.remove_duplicates) {
-    // Keep the first (lowest-weight) copy of each (src,dst) pair; the paper's
-    // generators emit unique edges, so which copy survives only matters for
-    // determinism.
-    edges.erase(std::unique(edges.begin(), edges.end(),
-                            [](const edge<VertexId>& a,
-                               const edge<VertexId>& b) {
-                              return a.src == b.src && a.dst == b.dst;
-                            }),
-                edges.end());
-  }
-
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-  for (const auto& e : edges) ++offsets[e.src + 1];
-  for (std::uint64_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-
-  const bool weighted =
-      std::any_of(edges.begin(), edges.end(),
-                  [](const edge<VertexId>& e) { return e.weight != 1; });
-
-  std::vector<VertexId> targets(edges.size());
-  std::vector<weight_t> weights(weighted ? edges.size() : 0);
-  // Input is already grouped by src (sorted above, or caller-provided order
-  // when neither dedup nor sort requested — then we must use a cursor copy).
-  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& e : edges) {
-    const std::uint64_t slot = cursor[e.src]++;
-    targets[slot] = e.dst;
-    if (weighted) weights[slot] = e.weight;
-  }
-
-  csr_graph<VertexId> g(std::move(offsets), std::move(targets),
-                        std::move(weights));
-  if (opt.build_reverse) g.ensure_reverse();
-  return g;
+/// Builds a CSR with `n` vertices from `edges`. Edges referencing vertices
+/// >= n are rejected before any work starts. The input vector is consumed:
+/// it is released once its edges are scattered into the adjacency slots.
+/// The result is the one a sort of the edges by (src, dst, weight) would
+/// give: sorted adjacency keeps the lowest-weight copy of each duplicate,
+/// and an unsorted one keeps input order per source with reversed copies
+/// after all originals.
+template <typename VertexId>
+csr_graph<VertexId> build_csr(std::uint64_t n,
+                              std::vector<edge<VertexId>> edges,
+                              const build_options& opt = {}) {
+  const std::size_t threads =
+      detail::build_threads(edges.size() * (opt.symmetrize ? 2 : 1), n);
+  return detail::build_csr_on(threads, n, std::move(edges), opt);
 }
 
 /// Extracts the edge list back out of a CSR (used by tests and by the SEM

@@ -228,9 +228,10 @@ class sem_csr {
   /// by write_graph_with_reverse or ooc_builder's emit_reverse) as a nested
   /// sem_csr sharing this graph's simulated device. The reverse file is its
   /// own byte space, so it takes its own optional block cache / heat
-  /// recorder instead of aliasing the main file's block ids. Throws if the
-  /// file is missing or does not transpose this graph. Idempotent; call
-  /// before traversals start.
+  /// recorder instead of aliasing the main file's block ids. It inherits
+  /// this file's retry policy, so set_retry_policy before or after opening
+  /// governs both. Throws if the file is missing or does not transpose this
+  /// graph. Idempotent; call before traversals start.
   void open_reverse(block_cache* reverse_cache = nullptr,
                     block_heat* reverse_heat = nullptr) {
     if (reverse_) return;
@@ -244,6 +245,7 @@ class sem_csr {
           "' (vertex/edge counts disagree)");
     }
     rev->set_block_heat(reverse_heat);
+    rev->set_retry_policy(file_.retry_policy());
     reverse_ = std::move(rev);
   }
 

@@ -4,7 +4,8 @@
 //     leaving the queue config untouched;
 //   * seed-compatible cache sizing (fraction of file_bytes/block + 1, floor
 //     of one block) and the explicit with_cache_blocks override;
-//   * with_reverse materializing a separate reverse cache/heat pair;
+//   * with_reverse materializing a separate reverse cache/heat pair, and
+//     the reverse file obeying the same retry budget as the forward one;
 //   * from_options mapping (duck-typed traversal_options shape), including
 //     the negative-cache_fraction "caller decides" convention;
 //   * missing files throwing at open().
@@ -19,6 +20,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "graph/graph_io.hpp"
+#include "sem/fault_injector.hpp"
 
 namespace asyncgt::sem {
 namespace {
@@ -98,6 +100,36 @@ TEST_F(SemConfigTest, ReverseViewGetsItsOwnCacheAndHeat) {
   EXPECT_NE(bundle.reverse_cache, nullptr);
   EXPECT_NE(bundle.reverse_heat, nullptr);
   EXPECT_NE(bundle.reverse_cache.get(), bundle.cache.get());
+}
+
+TEST_F(SemConfigTest, ReverseViewInheritsTheRetryPolicy) {
+  const std::string p = (dir_ / "rev.agt").string();
+  csr32 g = rmat_graph<vertex32>(rmat_a(7));
+  write_graph_with_reverse(p, g);
+  g.ensure_reverse();
+  vertex32 v = 0;
+  while (g.out_degree(v) == 0 || g.in_degree(v) == 0) ++v;
+  // Every read fails once: any retry budget recovers, a zero budget fails.
+  fault_injector inj(parse_fault_config("eio=1,attempts=1"));
+  const auto bundle = sem_config(p)
+                          .with_retries(0, 1)
+                          .with_reverse()
+                          .with_fault_injector(&inj)
+                          .open<vertex32>();
+  const auto expect_fails_without_retry = [&](auto&& read) {
+    try {
+      read();
+      ADD_FAILURE() << "expected io_error";
+    } catch (const io_error& e) {
+      EXPECT_EQ(e.retries(), 0u);
+    }
+  };
+  expect_fails_without_retry([&] {
+    bundle.graph->for_each_out_edge(v, [](vertex32, weight_t) {});
+  });
+  expect_fails_without_retry([&] {
+    bundle.graph->for_each_in_edge(v, [](vertex32, weight_t) {});
+  });
 }
 
 TEST_F(SemConfigTest, FromOptionsMapsTheTraversalOptionsShape) {

@@ -22,7 +22,10 @@
 # epochs, plus the incremental-vs-recompute stream — docs/dynamic_graphs.md),
 # and the reads-ahead battery (SemPipeline: each lane's pending set and its
 # per-thread charge-ahead bookings, with aborts ending reads in flight —
-# docs/visitor_queue.md).
+# docs/visitor_queue.md), and the CSR builder (Builder: the counting-sort
+# passes on per-thread chunks and vertex ranges, checked against the sort
+# builder) with the update-stream generator that reads its graphs
+# (UpdateStream).
 # Wraps the `tsan` presets in CMakePresets.json so CI and humans run the
 # identical configuration:
 #
@@ -38,5 +41,5 @@ cd "$(dirname "$0")/.."
 JOBS="${1:--j$(nproc)}"
 
 cmake --preset tsan
-cmake --build --preset tsan "${JOBS}" --target test_queue test_core test_fault test_service test_overload test_diff test_backend test_telemetry test_sem test_hybrid test_dynamic
+cmake --build --preset tsan "${JOBS}" --target test_queue test_core test_fault test_service test_overload test_diff test_backend test_telemetry test_sem test_hybrid test_dynamic test_graph test_gen
 ctest --preset tsan
