@@ -180,9 +180,13 @@ int main(int argc, char** argv) {
 
     // CC comparison, reported but not gated: the Jacobi sweeps pay m per
     // pass, so the inspection trade depends on how fast labels converge.
-    const auto cc_plain = async_cc(hg, cfg);
+    cc_result<vertex32> cc_plain;
+    const double t_cc_plain =
+        time_seconds([&] { cc_plain = async_cc(hg, cfg); });
+    cc_result<vertex32> cc_hyb;
     hybrid_extra cex;
-    const auto cc_hyb = hybrid_cc(hg, topt, &cex);
+    const double t_cc_hyb =
+        time_seconds([&] { cc_hyb = hybrid_cc(hg, topt, &cex); });
     ok &= shape_check(cc_hyb.component == cc_plain.component,
                       "hybrid CC labels are bit-identical to pure-async");
 
@@ -198,12 +202,12 @@ int main(int argc, char** argv) {
                 fmt_ratio(1.0 / ratio), fmt_count(hex.direction_switches),
                 fmt_seconds(t_hyb)});
     htable.row({"async cc (pushes)", fmt_count(cc_plain.stats.pushes), "1.00",
-                "0", ""});
+                "0", fmt_seconds(t_cc_plain)});
     htable.row({"hybrid cc", fmt_count(cex.edge_inspections),
                 fmt_ratio(static_cast<double>(cex.edge_inspections) /
                           std::max<double>(
                               1.0, static_cast<double>(cc_plain.stats.pushes))),
-                fmt_count(cex.direction_switches), ""});
+                fmt_count(cex.direction_switches), fmt_seconds(t_cc_hyb)});
     std::printf("RMAT-A scale %u (%s edges): hybrid inspects %.2fx fewer "
                 "edges than async pushes\n%s\n",
                 hscale, fmt_count(hg.num_edges()).c_str(), ratio,

@@ -26,7 +26,6 @@ class dary_heap {
 
   bool empty() const noexcept { return items_.empty(); }
   std::size_t size() const noexcept { return items_.size(); }
-  void reserve(std::size_t n) { items_.reserve(n); }
   void clear() noexcept { items_.clear(); }
 
   const T& top() const noexcept { return items_.front(); }

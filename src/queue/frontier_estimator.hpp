@@ -1,14 +1,9 @@
-// Frontier-density estimation for direction-adaptive (hybrid) traversal.
+// Direction decisions for frontier-adaptive (hybrid) traversal.
 //
-// The asynchronous engine has no explicit frontier — only an in-flight
-// visitor count — so direction decisions (Beamer/Buluç-style top-down vs
-// bottom-up switching, docs/hybrid_traversal.md) need an observer that
-// samples that count at the points where it is meaningful. Workers sample
-// the termination counter at their flush-on-idle / commit checkpoints (the
-// only places the counter is exact enough to read cheaply, see
-// traversal_engine.hpp); the phase driver in core/hybrid_traversal.hpp
-// feeds in exact per-wave counts between capped runs and asks the two
-// classic questions:
+// The phase driver in core/hybrid_traversal.hpp knows each wave exactly
+// (it applies every wave itself between phases), so Beamer/Buluç-style
+// top-down vs bottom-up switching (docs/hybrid_traversal.md) needs only the
+// two classic questions, asked at each wave boundary:
 //
 //   go_bottom_up:    m_f * alpha > m_u   -- the queued frontier's edges
 //                    outnumber 1/alpha of the unexplored edges, so scanning
@@ -22,13 +17,8 @@
 // alpha/beta defaults follow the direction-optimizing BFS literature
 // (alpha=14, beta=24); both are exposed as --hybrid-alpha / --hybrid-beta
 // through traversal_options::from_flags.
-//
-// Thread-safety: sample() is called concurrently by workers (relaxed
-// atomics — the values are advisory); everything else is driver-side,
-// called between runs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace asyncgt {
@@ -37,35 +27,6 @@ class frontier_estimator {
  public:
   frontier_estimator() = default;
   frontier_estimator(double alpha, double beta) : alpha_(alpha), beta_(beta) {}
-
-  /// Worker-side: records one queued-visitor observation (the engine passes
-  /// the termination counter, clamped at zero). Called at flush-on-idle /
-  /// commit checkpoints only, never per visit.
-  void sample(std::uint64_t queued) noexcept {
-    last_queued_.store(queued, std::memory_order_relaxed);
-    std::uint64_t peak = peak_queued_.load(std::memory_order_relaxed);
-    while (queued > peak &&
-           !peak_queued_.compare_exchange_weak(peak, queued,
-                                               std::memory_order_relaxed)) {
-    }
-    samples_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t last_queued() const noexcept {
-    return last_queued_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t peak_queued() const noexcept {
-    return peak_queued_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t samples() const noexcept {
-    return samples_.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept {
-    last_queued_.store(0, std::memory_order_relaxed);
-    peak_queued_.store(0, std::memory_order_relaxed);
-    samples_.store(0, std::memory_order_relaxed);
-  }
 
   double alpha() const noexcept { return alpha_; }
   double beta() const noexcept { return beta_; }
@@ -90,9 +51,6 @@ class frontier_estimator {
  private:
   double alpha_ = 14.0;
   double beta_ = 24.0;
-  std::atomic<std::uint64_t> last_queued_{0};
-  std::atomic<std::uint64_t> peak_queued_{0};
-  std::atomic<std::uint64_t> samples_{0};
 };
 
 }  // namespace asyncgt

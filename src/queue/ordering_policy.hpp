@@ -58,7 +58,6 @@ class priority_order {
   /// after value-initializing its worker array).
   void configure(const visitor_queue_config& cfg) {
     less_.secondary = cfg.secondary_vertex_sort;
-    if (cfg.reserve_per_queue > 0) heap_.reserve(cfg.reserve_per_queue);
   }
 
   bool empty() const noexcept { return heap_.empty(); }
@@ -121,9 +120,7 @@ class lifo_order {
   lifo_order(const lifo_order&) = delete;
   lifo_order& operator=(const lifo_order&) = delete;
 
-  void configure(const visitor_queue_config& cfg) {
-    if (cfg.reserve_per_queue > 0) q_.reserve(cfg.reserve_per_queue);
-  }
+  void configure(const visitor_queue_config&) {}
 
   bool empty() const noexcept { return q_.empty(); }
   std::size_t size() const noexcept { return q_.size(); }

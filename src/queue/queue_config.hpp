@@ -7,10 +7,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <stdexcept>
 
-#include "queue/frontier_estimator.hpp"
 #include "telemetry/metric_scope.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/sampler.hpp"
@@ -41,8 +39,6 @@ struct visitor_queue_config {
   /// Route with the raw id (v % threads) instead of the avalanching hash;
   /// used by the load-balance ablation.
   bool identity_hash = false;
-  /// Initial per-queue heap capacity reservation.
-  std::size_t reserve_per_queue = 0;
 
   /// Cross-thread delivery batch size B (mailbox layer). Pushes from inside
   /// visitors append lock-free to a per-thread outbox buffer per destination
@@ -56,12 +52,8 @@ struct visitor_queue_config {
   /// Optional telemetry sinks (all borrowed, all nullable — null means the
   /// corresponding instrumentation compiles to a predictable branch).
   telemetry::metrics_registry* metrics = nullptr;  ///< flushed at end of run
-  telemetry::trace_writer* trace = nullptr;        ///< per-visit spans
-  telemetry::sampler* sampler = nullptr;           ///< depth/pending probes
-  /// Record a trace span for 1 visit in every `trace_sample_every` per
-  /// worker (1 = every visit; tracing every visit on large graphs produces
-  /// multi-GB traces).
-  std::uint32_t trace_sample_every = 64;
+  telemetry::trace_writer* trace = nullptr;  ///< 1-in-64 visit spans
+  telemetry::sampler* sampler = nullptr;     ///< depth/pending probes
 
   /// Per-job attribution scope (borrowed, nullable). When set, the engine
   /// installs it as the calling thread's ambient metric_scope for the
@@ -72,21 +64,10 @@ struct visitor_queue_config {
   /// asyncgt::engine wires one scope per submitted job; null costs nothing.
   telemetry::metric_scope* scope = nullptr;
 
-  /// Frontier-density estimator (borrowed, nullable). When set, every
-  /// worker samples the in-flight visitor count into it at its
-  /// flush-on-idle / termination-commit checkpoints — the cheap points
-  /// where the termination counter is meaningful — and the end-of-run
-  /// metrics record the observed peak as `queue.frontier_peak`. The hybrid
-  /// phase driver (core/hybrid_traversal.hpp) wires one per run to make its
-  /// direction decisions; null costs one predictable branch per idle
-  /// transition.
-  frontier_estimator* estimator = nullptr;
-
-  /// Borrowed worker pool (nullable). When set, run()/run_seeded() dispatch
-  /// their worker bodies as a gang on this pool — acquire/release of parked
-  /// threads — instead of spawning and joining `num_threads` fresh
-  /// std::threads per run. asyncgt::engine sets this on every job config it
-  /// prepares; null reproduces the one-shot spawn/join lifecycle.
+  /// Borrowed worker pool (nullable) the blocking run()/run_seeded()
+  /// dispatch their gang on. asyncgt::engine sets this on every job config
+  /// it prepares; null makes the queue start a pool of its own, once, on
+  /// its first run.
   service::worker_pool* pool = nullptr;
 
   void validate() const {
@@ -95,10 +76,6 @@ struct visitor_queue_config {
     }
     if (flush_batch == 0) {
       throw std::invalid_argument("visitor_queue: flush_batch must be >= 1");
-    }
-    if (trace_sample_every == 0) {
-      throw std::invalid_argument(
-          "visitor_queue: trace_sample_every must be >= 1");
     }
   }
 };

@@ -22,6 +22,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/cancellation.hpp"
+
 namespace asyncgt {
 
 /// Why a cooperative abort was requested. `none` means the abort was a
@@ -94,5 +96,44 @@ class traversal_aborted : public std::runtime_error {
   std::exception_ptr cause_;
   abort_reason reason_ = abort_reason::none;
 };
+
+/// Packages how a run ended into the traversal_aborted it reports. `error`
+/// is the first exception a worker latched (null if none) and `reason` the
+/// requested abort reason (none if no abort was requested). A latched
+/// operation_cancelled is a cancellation point unwinding on request, so it
+/// is cooperative like a bare request: the run reports the requested
+/// reason (cancelled if none), with the thrown exception kept as cause().
+/// Any other error is a worker failure and wins over a racing request.
+inline traversal_aborted make_traversal_aborted(std::exception_ptr error,
+                                                std::size_t worker,
+                                                bool has_vertex,
+                                                std::uint64_t vertex,
+                                                abort_reason reason) {
+  bool cooperative = !error;
+  std::string cause;
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const operation_cancelled&) {
+      cooperative = true;
+    } catch (const std::exception& e) {
+      cause = e.what();
+    } catch (...) {
+      cause = "non-standard exception";
+    }
+  }
+  if (cooperative) {
+    const abort_reason r =
+        reason != abort_reason::none ? reason : abort_reason::cancelled;
+    return traversal_aborted(
+        std::string("traversal aborted: ") + abort_reason_name(r), worker,
+        has_vertex, vertex, std::move(error), r);
+  }
+  std::string what =
+      "traversal aborted: worker " + std::to_string(worker) + " failed";
+  if (has_vertex) what += " at vertex " + std::to_string(vertex);
+  what += ": " + cause;
+  return traversal_aborted(what, worker, has_vertex, vertex, std::move(error));
+}
 
 }  // namespace asyncgt

@@ -48,24 +48,20 @@
 // is latched with its thread/vertex context, the termination layer's abort
 // flag is raised and broadcast through the parking protocol (wake_all), so
 // every worker — including ones asleep on their mailbox — unwinds promptly.
-// After the join, the engine resets all queue state (mailbox slabs, private
-// ordering structures, outboxes, the in-flight counter) and rethrows the
-// latched error as traversal_aborted on the calling thread. The queue is
-// reusable afterwards, and the algorithm state the visitors were mutating
-// is quiescent and internally consistent (per-vertex entries are only ever
-// written by their owner, and all owners have joined). Cooperative
-// cancellation (request_cancel, used by the service layer's job handles)
-// rides the same abort broadcast and containment machinery.
+// When the gang finishes, the engine resets all queue state (mailbox slabs,
+// private ordering structures, outboxes, the in-flight counter) and hands
+// the latched error to the completion callback as traversal_aborted. The
+// queue is reusable afterwards, and the algorithm state the visitors were
+// mutating is quiescent and internally consistent (per-vertex entries are
+// only ever written by their owner, and every owner has finished).
+// Cooperative cancellation (request_cancel, used by the service layer's job
+// handles) rides the same abort broadcast and containment machinery.
 //
-// Execution substrates. When the config carries a worker pool
-// (visitor_queue_config::pool, set by asyncgt::engine), a run dispatches
-// its worker bodies as one gang of pooled, parked threads — acquire/release
-// instead of spawn/join — and the run_async/run_seeded_async entry points
-// additionally return immediately, delivering stats or the failure to a
-// completion callback on the pool thread that finishes the gang. With a
-// null pool, run()/run_seeded() reproduce the one-shot spawn/join
-// lifecycle (now with an exception-safe RAII join: a throw between spawn
-// and join can no longer detach workers).
+// Execution substrate. A run is one gang of `num_threads` items on a
+// service::worker_pool (parked, reused threads): run_async/run_seeded_async
+// return at once and deliver the stats or the failure to a completion
+// callback on the pool thread that finishes the gang. The blocking
+// visitor_queue::run/run_seeded are waits over these entry points.
 #pragma once
 
 #include <algorithm>
@@ -91,7 +87,6 @@
 #include "queue/termination.hpp"
 #include "queue/traversal_abort.hpp"
 #include "service/worker_pool.hpp"
-#include "util/cancellation.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/trace_writer.hpp"
@@ -142,6 +137,9 @@ class traversal_engine {
   using vertex_id = decltype(std::declval<const Visitor&>().vertex());
   static constexpr bool reads_ahead =
       knows_liveness<Visitor, State> && charges_ahead<State, vertex_id>;
+  /// A traced worker records a span for 1 visit in this many (tracing every
+  /// visit on large graphs produces multi-GB traces).
+  static constexpr std::uint32_t trace_sample_every = 64;
 
   explicit traversal_engine(const visitor_queue_config& cfg)
       : cfg_(cfg),
@@ -157,7 +155,7 @@ class traversal_engine {
   traversal_engine(const traversal_engine&) = delete;
   traversal_engine& operator=(const traversal_engine&) = delete;
 
-  /// External (non-worker) enqueue: callable before/after run(). Counts as
+  /// External (non-worker) enqueue: callable between runs. Counts as
   /// one push and one flush — there is no outbox to amortize through.
   void push_external(Visitor&& v) {
     term_.reserve(1);
@@ -166,55 +164,15 @@ class traversal_engine {
     boxes_[route_(v.vertex())].deliver_one(std::move(v));
   }
 
-  /// Runs until quiescent over whatever was pushed externally. If any
-  /// worker's body throws, every worker is unwound, the queue state is
-  /// reset, and the first error rethrows here as traversal_aborted.
-  queue_run_stats run(State& state) {
-    wall_timer timer;
-    if (term_.pending() == 0 &&
-        cancel_reason_.load(std::memory_order_relaxed) == 0) {
-      return finalize_stats(timer.elapsed_seconds());
-    }
-    arm();
-    launch(state, [](std::size_t) {});
-    throw_if_aborted();
-    return finalize_stats(timer.elapsed_seconds());
-  }
-
-  /// Seeded run: one visitor per vertex in [0, num_vertices) (CC, paper
-  /// Algorithm 3: "for all v in g.vertex_list() parallel do push"). All
-  /// num_vertices visitors are pre-accounted in the termination counter
-  /// before any worker starts, so a fast worker cannot drive the counter to
-  /// zero while another worker is still seeding its slice. Each worker
-  /// seeds the contiguous slice [t*n/T, (t+1)*n/T) — through its own outbox
-  /// buffers, so seeding enjoys the same batched delivery — and then joins
-  /// processing.
-  ///
-  /// `make_visitor` is invoked as const from all workers concurrently; it
-  /// must be const-callable and thread-safe (a mutable functor is rejected
-  /// at compile time rather than racing silently).
-  template <typename MakeVisitor>
-  queue_run_stats run_seeded(State& state, std::uint64_t num_vertices,
-                             MakeVisitor&& make_visitor) {
-    wall_timer timer;
-    if (num_vertices == 0) return finalize_stats(timer.elapsed_seconds());
-    const std::remove_reference_t<MakeVisitor>& make = make_visitor;
-    term_.reserve(static_cast<std::int64_t>(num_vertices));
-    arm();
-    launch(state, [this, &make, num_vertices](std::size_t t) {
-      seed_slice(make, num_vertices, t);
-    });
-    throw_if_aborted();
-    return finalize_stats(timer.elapsed_seconds());
-  }
-
-  /// Asynchronous run: dispatches the workers as one gang on `pool` and
-  /// returns immediately. `done(stats, error)` runs exactly once, on the
-  /// pool thread that finishes the gang (or inline here for an empty
-  /// frontier): error is null on a clean run, otherwise a traversal_aborted
-  /// exception_ptr carrying the same context run() would have thrown —
-  /// stats are the post-reset zeros in that case. The caller must keep
-  /// `state` and this engine alive until `done` has been invoked.
+  /// Runs until quiescent over whatever was pushed externally: dispatches
+  /// the workers as one gang on `pool` and returns immediately.
+  /// `done(stats, error)` runs exactly once, on the pool thread that
+  /// finishes the gang (or inline here for an empty frontier): error is
+  /// null on a clean run, otherwise a traversal_aborted exception_ptr
+  /// carrying the first worker failure or the cancel reason — stats are
+  /// the post-reset zeros in that case, and the engine is reusable. The
+  /// caller must keep `state` and this engine alive until `done` has been
+  /// invoked.
   template <typename Done>
   void run_async(service::worker_pool& pool, State& state, Done done) {
     wall_timer timer;
@@ -226,9 +184,19 @@ class traversal_engine {
     dispatch_async(pool, state, [](std::size_t) {}, std::move(done), timer);
   }
 
-  /// Asynchronous seeded run; see run_seeded for the seeding discipline and
-  /// run_async for the completion contract. `make_visitor` is copied into
-  /// the gang and invoked as const from all workers concurrently.
+  /// Seeded run: one visitor per vertex in [0, num_vertices) (CC, paper
+  /// Algorithm 3: "for all v in g.vertex_list() parallel do push"). All
+  /// num_vertices visitors are pre-accounted in the termination counter
+  /// before any worker starts, so a fast worker cannot drive the counter to
+  /// zero while another worker is still seeding its slice. Each worker
+  /// seeds the contiguous slice [t*n/T, (t+1)*n/T) — through its own outbox
+  /// buffers, so seeding enjoys the same batched delivery — and then joins
+  /// processing. See run_async for the completion contract.
+  ///
+  /// `make_visitor` is copied into the gang and invoked as const from all
+  /// workers concurrently; it must be const-callable and thread-safe (a
+  /// mutable functor is rejected at compile time rather than racing
+  /// silently).
   template <typename MakeVisitor, typename Done>
   void run_seeded_async(service::worker_pool& pool, State& state,
                         std::uint64_t num_vertices, MakeVisitor make_visitor,
@@ -306,7 +274,7 @@ class traversal_engine {
     bool seeding = false;         // outbox contents already pre-accounted
     // Failure context: maintained by the owning thread around each visit and
     // read back by record_failure on that same thread (from the catch in
-    // launch), so no synchronization is needed.
+    // run_worker), so no synchronization is needed.
     std::uint64_t cur_vertex = 0;
     bool visiting = false;
     std::uint64_t visits = 0;
@@ -339,8 +307,7 @@ class traversal_engine {
 
   /// One worker's whole run: per-thread seed hook, worker loop, catch-all
   /// at the boundary — an escaping exception would std::terminate the
-  /// process (std::thread) or poison the pool; latch it and unwind everyone
-  /// instead.
+  /// pool thread; latch it and unwind everyone instead.
   template <typename SeedSlice>
   void run_worker(State& state, const SeedSlice& seed, std::size_t t) {
     // Ambient per-job attribution: everything this worker does — including
@@ -389,52 +356,6 @@ class traversal_engine {
     }
     flush_all(me);
     me.seeding = false;
-  }
-
-  /// Single blocking driver for both run flavours. With a pooled config
-  /// this is acquire/release of parked workers (one gang, FIFO-scheduled
-  /// against other jobs sharing the pool); without one it spawns and joins
-  /// fresh threads, with an RAII guard so a throw between spawn and join —
-  /// e.g. thread-resource exhaustion partway through the spawn loop — can
-  /// never reach a joinable std::thread's destructor (std::terminate).
-  template <typename SeedSlice>
-  void launch(State& state, const SeedSlice& seed) {
-    if (cfg_.pool != nullptr) {
-      cfg_.pool->wait(cfg_.pool->submit(
-          cfg_.num_threads,
-          [this, &state, &seed](std::size_t t) { run_worker(state, seed, t); }));
-      return;
-    }
-    struct joiner {
-      traversal_engine* eng;
-      std::vector<std::thread> threads;
-      ~joiner() {
-        if (threads.size() < eng->cfg_.num_threads) {
-          // Spawn failed partway: the missing lanes will never flush or
-          // commit, so the started workers could not reach quiescence —
-          // unwind them through the abort broadcast before joining, then
-          // restore the queue to a reusable state (the spawn failure
-          // itself propagates to the caller; any failure a half-started
-          // worker latched meanwhile is superseded by it).
-          eng->term_.request_abort();
-          wake_all(eng->boxes_);
-          for (auto& th : threads) th.join();
-          {
-            std::lock_guard lk(eng->fail_mu_);
-            eng->fail_ = failure{};
-          }
-          eng->cancel_reason_.store(0, std::memory_order_relaxed);
-          eng->reset_after_abort();
-          return;
-        }
-        for (auto& th : threads) th.join();
-      }
-    } guard{this, {}};
-    guard.threads.reserve(cfg_.num_threads);
-    for (std::size_t t = 0; t < cfg_.num_threads; ++t) {
-      guard.threads.emplace_back(
-          [this, &state, &seed, t] { run_worker(state, seed, t); });
-    }
   }
 
   /// Common tail of the async entry points: one gang whose completion hook
@@ -553,14 +474,13 @@ class traversal_engine {
                                  "worker-" + std::to_string(tid));
       }
     }
-    const std::uint32_t sample_every = cfg_.trace_sample_every;
     std::uint32_t until_sample = 1;  // trace the first visit of each worker
     lane_handle handle{*this, me};
     const auto visit_now = [&](const Visitor& x) {
       me.cur_vertex = static_cast<std::uint64_t>(x.vertex());
       me.visiting = true;
       if (ts != nullptr && --until_sample == 0) {
-        until_sample = sample_every;
+        until_sample = trace_sample_every;
         const std::uint64_t start = ts->now_us();
         x.visit(state, handle, tid);
         ts->complete("visit", start, ts->now_us() - start, "vertex",
@@ -582,7 +502,7 @@ class traversal_engine {
     Visitor v{};
     for (;;) {
       // A failed worker raised the abort flag: unwind without flushing or
-      // committing — the engine resets all queue state after the join.
+      // committing — the engine resets all queue state after the gang.
       if (term_.abort_requested()) return;
       // Merge arrivals at batch granularity: one relaxed load per pop, a
       // lock only when a sender actually delivered.
@@ -600,7 +520,7 @@ class traversal_engine {
         me.cur_vertex = static_cast<std::uint64_t>(v.vertex());
         me.visiting = true;
         if (ts != nullptr && --until_sample == 0) {
-          until_sample = sample_every;
+          until_sample = trace_sample_every;
           const std::uint64_t start = ts->now_us();
           v.visit(state, handle, tid);
           ts->complete("visit", start, ts->now_us() - start, "vertex",
@@ -617,13 +537,6 @@ class traversal_engine {
       // point where the termination counter can legitimately reach zero.
       if (drain(state, me, inbox)) continue;
       flush_all(me);
-      // Flush/termination checkpoint: the only place a worker reads the
-      // global counter anyway, so the frontier estimator samples here —
-      // once per idle transition, never per visit.
-      if (cfg_.estimator != nullptr) {
-        cfg_.estimator->sample(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(term_.pending(), 0)));
-      }
       if (commit(me)) {
         announce_done();
         return;
@@ -717,9 +630,10 @@ class traversal_engine {
     wake_all(boxes_);
   }
 
-  /// Called on the failing worker's own thread (from the catch in launch):
-  /// latches the FIRST error with its thread/vertex context, then raises
-  /// the abort flag and broadcasts it so parked workers wake and unwind.
+  /// Called on the failing worker's own thread (from the catch in
+  /// run_worker): latches the FIRST error with its thread/vertex context,
+  /// then raises the abort flag and broadcasts it so parked workers wake
+  /// and unwind.
   void record_failure(std::size_t tid, std::exception_ptr ep) {
     {
       std::lock_guard lk(fail_mu_);
@@ -734,18 +648,11 @@ class traversal_engine {
     wake_all(boxes_);
   }
 
-  /// After the join: if the run aborted — a worker failed or a cancel was
+  /// After the gang: if the run aborted — a worker failed or a cancel was
   /// requested — discard all queue state (every structure a worker
-  /// abandoned mid-run) and return the latched error packaged as a
-  /// traversal_aborted exception_ptr; null on a clean run. A cancel that
-  /// raced no worker failure yields a traversal_aborted with a null cause
-  /// and the latched abort_reason in the message. A worker that unwound by
-  /// throwing operation_cancelled (a cancellation point noticing the abort
-  /// hint, e.g. the fault injector's stall mode) is also cooperative, not a
-  /// failure: the run reports the latched reason, with the thrown exception
-  /// preserved as cause(). A genuine worker error always wins over any
-  /// cancel that raced it. Consuming the failure re-arms the queue for the
-  /// next run (the reason latch is cleared too).
+  /// abandoned mid-run) and return the latched error and reason packaged
+  /// by make_traversal_aborted; null on a clean run. Consuming the failure
+  /// re-arms the queue for the next run (the reason latch is cleared too).
   std::exception_ptr take_failure() {
     failure f;
     const auto reason = static_cast<abort_reason>(
@@ -757,42 +664,10 @@ class traversal_engine {
       fail_ = failure{};
     }
     reset_after_abort();
-    // A latched operation_cancelled is a cancellation point unwinding on
-    // request — classify it with the requested reason, not as a failure.
-    bool cooperative = !f.error;
-    if (f.error) {
-      try {
-        std::rethrow_exception(f.error);
-      } catch (const operation_cancelled&) {
-        cooperative = true;
-      } catch (...) {
-      }
-    }
-    if (cooperative) {
-      const abort_reason r =
-          reason != abort_reason::none ? reason : abort_reason::cancelled;
-      const std::string what =
-          std::string("traversal aborted: ") + abort_reason_name(r);
-      note_abort_trace(what);
-      return std::make_exception_ptr(traversal_aborted(
-          what, f.thread, f.has_vertex, f.vertex, std::move(f.error), r));
-    }
-    std::string what = "traversal aborted: worker " +
-                       std::to_string(f.thread) + " failed";
-    if (f.has_vertex) {
-      what += " at vertex " + std::to_string(f.vertex);
-    }
-    try {
-      std::rethrow_exception(f.error);
-    } catch (const std::exception& e) {
-      what += ": ";
-      what += e.what();
-    } catch (...) {
-      what += ": non-standard exception";
-    }
-    note_abort_trace(what);
-    return std::make_exception_ptr(traversal_aborted(
-        what, f.thread, f.has_vertex, f.vertex, std::move(f.error)));
+    traversal_aborted aborted = make_traversal_aborted(
+        std::move(f.error), f.thread, f.has_vertex, f.vertex, reason);
+    note_abort_trace(aborted.what());
+    return std::make_exception_ptr(std::move(aborted));
   }
 
   /// Terminal trace marker for a run that ends in traversal_aborted, plus a
@@ -805,14 +680,9 @@ class traversal_engine {
     (void)cfg_.trace->flush();
   }
 
-  /// Blocking-path shim over take_failure: rethrows on the calling thread.
-  void throw_if_aborted() {
-    if (std::exception_ptr ep = take_failure()) std::rethrow_exception(ep);
-  }
-
   /// Restores the engine to its post-construction state after an abort left
   /// visitors stranded in mailboxes, outboxes, and private structures. Only
-  /// called after every worker joined, so plain writes suffice for lane
+  /// called after every worker finished, so plain writes suffice for lane
   /// state; mailbox slabs are cleared under their own mutex for the atomics'
   /// sake (external observers may still call queue_depths()).
   void reset_after_abort() {
@@ -867,14 +737,7 @@ class traversal_engine {
       sc.add(hot::wakeups, 0, s.wakeups);
       record_metrics(sc.deltas(), s);
     }
-    if (cfg_.metrics != nullptr) {
-      record_metrics(*cfg_.metrics, s);
-      if (cfg_.estimator != nullptr) {
-        cfg_.metrics->get_gauge("queue.frontier_peak")
-            .record_max(
-                static_cast<std::int64_t>(cfg_.estimator->peak_queued()));
-      }
-    }
+    if (cfg_.metrics != nullptr) record_metrics(*cfg_.metrics, s);
     return s;
   }
 

@@ -21,7 +21,7 @@
 //                          acquisition) and the sleep/wake protocol
 //   termination.hpp      — the in-flight counter and its batching-aware
 //                          quiescence proof
-//   traversal_engine.hpp — the worker loop and the single run driver
+//   traversal_engine.hpp — the worker loop and the gang-dispatched run
 //
 // Asynchrony. There are no barriers or level synchronizations anywhere;
 // every worker pops its locally-best visitor and runs it immediately.
@@ -37,7 +37,7 @@
 //
 // Observability. The config optionally carries telemetry sinks (see
 // docs/observability.md): a metrics_registry that run() flushes its counters
-// into, a trace_writer that receives per-visit spans sampled 1-in-N plus
+// into, a trace_writer that receives per-visit spans sampled 1-in-64 plus
 // worker sleep spans, and a sampler that gets queue-depth / pending probes
 // registered for the duration of the run. All sinks default to null and the
 // hot loop tests one cached bool per feature, keeping the disabled-sinks
@@ -68,6 +68,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <future>
+#include <memory>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -118,27 +121,17 @@ class visitor_queue {
     with_engine([&](auto& e) { e.push_external(std::move(v)); });
   }
 
-  /// Runs until quiescent: spawns the worker threads, processes every queued
-  /// visitor (and all transitively pushed ones), joins, and returns stats.
-  /// `state` is shared mutable algorithm state; per-vertex entries are only
-  /// ever touched by their owner thread, which is what makes this safe.
+  /// Runs every queued visitor (and all transitively pushed ones) to
+  /// quiescence as one gang on cfg.pool, or on a pool the queue starts for
+  /// itself once, and returns the stats. `state` is shared mutable algorithm
+  /// state; per-vertex entries are only ever touched by their owner thread.
   ///
   /// If a worker's body throws (an io_error from a semi-external read, a
   /// throwing visitor, an allocation failure), every worker is woken and
   /// unwound, queue state is reset, and the first error rethrows here as
-  /// traversal_aborted — the queue remains usable for another run. The
-  /// sampler probes are unregistered on both paths, so a dangling probe
-  /// never outlives an aborted run.
+  /// traversal_aborted — the queue remains usable for another run.
   queue_run_stats run(State& state) {
-    register_probes();
-    try {
-      auto stats = with_engine([&](auto& e) { return e.run(state); });
-      unregister_probes();
-      return stats;
-    } catch (...) {
-      unregister_probes();
-      throw;
-    }
+    return wait([&](auto done) { run_async(pool(), state, std::move(done)); });
   }
 
   /// Seeded run for algorithms that start one visitor per vertex (CC,
@@ -146,22 +139,14 @@ class visitor_queue {
   /// concurrently — it must be const-callable (mutable functors are
   /// rejected at compile time) and thread-safe; each worker seeds the
   /// contiguous slice [t*n/T, (t+1)*n/T) and then joins processing. See
-  /// traversal_engine::run_seeded for the pre-accounting argument.
+  /// traversal_engine::run_seeded_async for the pre-accounting argument.
   template <typename MakeVisitor>
   queue_run_stats run_seeded(State& state, std::uint64_t num_vertices,
-                             MakeVisitor&& make_visitor) {
-    register_probes();
-    try {
-      auto stats = with_engine([&](auto& e) {
-        return e.run_seeded(state, num_vertices,
-                            std::forward<MakeVisitor>(make_visitor));
-      });
-      unregister_probes();
-      return stats;
-    } catch (...) {
-      unregister_probes();
-      throw;
-    }
+                             MakeVisitor make_visitor) {
+    return wait([&](auto done) {
+      run_seeded_async(pool(), state, num_vertices, std::move(make_visitor),
+                       std::move(done));
+    });
   }
 
   /// Asynchronous run: dispatches the workers as one gang on `pool` and
@@ -243,6 +228,30 @@ class visitor_queue {
     }
   }
 
+  /// The pool blocking runs use: the configured one, else the queue's own.
+  service::worker_pool& pool() {
+    if (cfg_.pool != nullptr) return *cfg_.pool;
+    if (own_pool_ == nullptr) {
+      own_pool_ = std::make_unique<service::worker_pool>(cfg_.num_threads);
+    }
+    return *own_pool_;
+  }
+
+  /// Blocks until the run `start(done)` dispatches delivers its result.
+  template <typename Start>
+  static queue_run_stats wait(Start start) {
+    auto result = std::make_shared<std::promise<queue_run_stats>>();
+    std::future<queue_run_stats> f = result->get_future();
+    start([result](queue_run_stats stats, std::exception_ptr error) {
+      if (error != nullptr) {
+        result->set_exception(std::move(error));
+      } else {
+        result->set_value(std::move(stats));
+      }
+    });
+    return f.get();
+  }
+
   /// Decorates an async completion callback so probes are unregistered
   /// before the caller's `done` observes the result (telemetry teardown is
   /// part of the run on the async path, as on the blocking one).
@@ -282,6 +291,9 @@ class visitor_queue {
   std::variant<std::monostate, prio_engine, fifo_engine, lifo_engine>
       engine_;
   std::vector<telemetry::sampler::probe_id> probe_ids_;
+  // Declared last, so destroyed first: its threads are joined while the
+  // engine they ran is still alive.
+  std::unique_ptr<service::worker_pool> own_pool_;
 };
 
 }  // namespace asyncgt

@@ -84,12 +84,14 @@ template <typename VertexId> struct kcore_result;
 template <typename Result> struct seeded_run;
 struct pagerank_options;
 
-// Dynamic-graph types owned by graph/delta_overlay.hpp and
-// core/incremental.hpp; named here so the submit_incremental_* declarations
-// can spell their parameters.
+// Dynamic-graph and hybrid types owned by graph/delta_overlay.hpp,
+// core/incremental.hpp and core/hybrid_traversal.hpp; named here so the
+// submit_incremental_* / submit_hybrid_* declarations can spell their
+// parameters.
 template <typename VertexId> struct delta_batch;
 template <typename Graph> class overlay_view;
 struct incremental_extra;
+struct hybrid_extra;
 
 namespace service {
 
@@ -305,6 +307,20 @@ class engine {
       incremental_extra* extra = nullptr,
       std::optional<traversal_options> opts = std::nullopt);
 
+  // Frontier-adaptive hybrid jobs (core/hybrid_traversal.hpp): the phases
+  // run one after another on the pool as one job. The graph needs a
+  // reverse view; `extra` (nullable) receives the per-phase breakdown.
+  template <typename Graph>
+  job<bfs_result<typename Graph::vertex_id>> submit_hybrid_bfs(
+      const Graph& g, typename Graph::vertex_id start,
+      std::optional<traversal_options> opts = std::nullopt,
+      hybrid_extra* extra = nullptr);
+
+  template <typename Graph>
+  job<cc_result<typename Graph::vertex_id>> submit_hybrid_cc(
+      const Graph& g, std::optional<traversal_options> opts = std::nullopt,
+      hybrid_extra* extra = nullptr);
+
   // ---- Generic submission (what the named submits are built from) ----
 
   /// Submits an externally-seeded traversal. `state` is moved into the job;
@@ -343,17 +359,6 @@ class engine {
   }
 
   // ---- Introspection / lifecycle ----
-
-  /// Resolves options against this engine's defaults and pins the config to
-  /// its pool (growing it to the job's width). For blocking call sites that
-  /// must own their visitor_queue and state directly — the multi-phase
-  /// hybrid drivers in core/hybrid_traversal.hpp — yet should still run on
-  /// warm pooled workers. Such a run is no job and writes no checkpoint.
-  visitor_queue_config pooled_config(
-      std::optional<traversal_options> opts = std::nullopt) {
-    reject_checkpoint_path(opts, "a run outside the job engine");
-    return prepare_config(opts);
-  }
 
   service::worker_pool& pool() noexcept { return pool_; }
   const traversal_options& defaults() const noexcept { return defaults_; }
@@ -598,6 +603,12 @@ class engine {
     return start_job(tj, std::move(launch));
   }
 
+  /// The job path behind submit_hybrid_*, defined with them.
+  template <typename Visitor, typename Result, typename State>
+  job<Result> submit_hybrid(const std::optional<traversal_options>& opts,
+                            State state, hybrid_extra* extra,
+                            const char* label);
+
   template <typename Visitor, typename State, typename Finalize>
   auto make_typed_job(const std::optional<traversal_options>& opts,
                       State state, Finalize finalize, const char* label) {
@@ -625,9 +636,9 @@ class engine {
   /// Common tail of both submit flavours: admission decision first (may
   /// block, throw admission_rejected, or shed a victim — the job holds no
   /// slot or memory before this passes), then wire the control block,
-  /// register the watchdog, launch via `run` (which picks run_async vs
-  /// run_seeded_async), and deliver the result or error through the promise
-  /// from the completing pool thread.
+  /// register the watchdog, launch via `run` (run_async, run_seeded_async,
+  /// or a hybrid job's phase chain), and deliver the result or error through
+  /// the promise from the completing pool thread.
   template <typename TypedJob, typename Run>
   auto start_job(std::shared_ptr<TypedJob> tj, Run run)
       -> job<typename TypedJob::result_type> {

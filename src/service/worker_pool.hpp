@@ -22,8 +22,8 @@
 // service's job scheduler.
 //
 // The pool knows nothing about visitors, queues, or telemetry sinks — it
-// sits below the queue layer (traversal_engine dispatches its worker bodies
-// here when visitor_queue_config::pool is set) and above nothing. The
+// sits below the queue layer (traversal_engine dispatches every run's worker
+// bodies here, and hybrid jobs their bottom-up sweeps) and above nothing. The
 // lifetime spawn counter (`threads_spawned`) is what the service layer
 // exports as the `service.pool.spawned_threads` metric: a warm pool serving
 // back-to-back equal-width jobs must show the counter frozen at the pool
@@ -121,7 +121,7 @@ class worker_pool {
   }
 
   /// Blocks until the gang's every item finished and its on_complete (if
-  /// any) returned. This is the "release" half of a blocking traversal run.
+  /// any) returned.
   void wait(const ticket& t) {
     std::unique_lock lk(mu_);
     done_cv_.wait(lk, [&] { return t->done; });

@@ -3,7 +3,9 @@
 // alpha/beta decision tests, the hybrid_bfs / hybrid_cc drivers against
 // serial and pure-async baselines, the reverse-view precondition, the
 // per-phase accounting in hybrid_extra, the option plumbing through
-// traversal_options::from_flags, and the metrics the drivers record.
+// traversal_options::from_flags, the metrics the drivers record, and the
+// job surface a hybrid run shares with every engine job: deadline, cancel,
+// admission, failure containment and per-job stats.
 //
 // Label equality with the async engine across storage modes lives in the
 // differential suite (tests/diff); this file owns the hybrid-specific
@@ -11,8 +13,10 @@
 #include "core/hybrid_traversal.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,7 +26,10 @@
 #include "core/async_cc.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "graph/graph_io.hpp"
 #include "queue/frontier_estimator.hpp"
+#include "sem/fault_injector.hpp"
+#include "sem/sem_csr.hpp"
 #include "service/traversal_options.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "util/options.hpp"
@@ -49,21 +56,6 @@ csr32 reversed(csr32 g) {
 }
 
 // ---- frontier_estimator ----
-
-TEST(FrontierEstimator, TracksLastAndPeak) {
-  frontier_estimator est;
-  EXPECT_EQ(est.samples(), 0u);
-  est.sample(5);
-  est.sample(12);
-  est.sample(3);
-  EXPECT_EQ(est.last_queued(), 3u);
-  EXPECT_EQ(est.peak_queued(), 12u);
-  EXPECT_EQ(est.samples(), 3u);
-  est.reset();
-  EXPECT_EQ(est.last_queued(), 0u);
-  EXPECT_EQ(est.peak_queued(), 0u);
-  EXPECT_EQ(est.samples(), 0u);
-}
 
 TEST(FrontierEstimator, AlphaTestIsStrict) {
   frontier_estimator est(2.0, 24.0);
@@ -209,6 +201,18 @@ TEST(HybridBfs, MatchesAsyncOnRmat) {
   EXPECT_LT(extra.edge_inspections, plain.stats.pushes);
 }
 
+TEST(HybridCc, ElapsedCoversEverySweep) {
+  // beta = 1e9 keeps CC sweeping bottom-up until no label changes, so the
+  // run ends without any queue run: its time is the sweeps' time.
+  const csr32 g = reversed(rmat_graph_undirected<vertex32>(rmat_a(10, 5)));
+  hybrid_extra extra;
+  const auto r = hybrid_cc(g, hybrid_opts(14.0, 1e9), &extra);
+  EXPECT_EQ(r.component, serial_cc(g).component);
+  ASSERT_FALSE(extra.phases.empty());
+  EXPECT_EQ(extra.phases.back().direction, "bottom-up");
+  EXPECT_GT(r.stats.elapsed_seconds, 0.0);
+}
+
 TEST(HybridCc, MatchesAsyncOnRmat) {
   const csr32 g = reversed(rmat_graph_undirected<vertex32>(rmat_a(9, 11)));
   const auto plain = async_cc(g, small_cfg());
@@ -238,7 +242,7 @@ TEST(HybridOptions, FromFlagsDefaultsOff) {
   EXPECT_DOUBLE_EQ(o.hybrid_beta, 24.0);
 }
 
-TEST(HybridMetrics, RecordsSwitchesInspectionsAndFrontierPeak) {
+TEST(HybridMetrics, RecordsSwitchesAndInspections) {
   telemetry::metrics_registry reg(8);
   const csr32 g = reversed(rmat_graph_undirected<vertex32>(rmat_a(9, 3)));
   traversal_options topt = hybrid_opts(1.0, 64.0).with_metrics(&reg);
@@ -250,8 +254,151 @@ TEST(HybridMetrics, RecordsSwitchesInspectionsAndFrontierPeak) {
             extra.direction_switches);
   EXPECT_EQ(snap.value_of("hybrid_bfs.edge_inspections"),
             extra.edge_inspections);
-  // The estimator's worker samples surface as a high-water gauge.
-  EXPECT_GT(snap.value_of("queue.frontier_peak"), 0u);
+}
+
+// ---- hybrid runs are engine jobs ----
+
+/// An undirected RMAT graph on disk with its .rev companion, opened
+/// semi-externally with `inj` on both edge files.
+class HybridJob : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("agt_hybrid_job_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    path_ = (dir_ / "g.agt").string();
+    write_graph_with_reverse(path_, graph_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::unique_ptr<sem::sem_csr32> open_sem(sem::fault_injector* inj) {
+    auto g = std::make_unique<sem::sem_csr32>(path_);
+    g->open_reverse();
+    g->set_fault_injector(inj);
+    return g;
+  }
+
+  static std::uint64_t terminal_sum(const engine::service_counters& c) {
+    return c.rejected + c.active + c.completed + c.failed + c.cancelled +
+           c.deadline_exceeded + c.stalled + c.shed;
+  }
+
+  const csr32 graph_ = rmat_graph_undirected<vertex32>(rmat_a(10, 3));
+  std::filesystem::path dir_;
+  std::string path_;
+};
+
+TEST_F(HybridJob, StalledSemCcEndsAtItsDeadline) {
+  sem::fault_config fc;
+  fc.p_stall = 1.0;
+  sem::fault_injector inj(fc);
+  const auto g = open_sem(&inj);
+  engine eng({.pool_threads = 4, .watchdog_sample_interval_ms = 5});
+  auto j = eng.submit_hybrid_cc(
+      *g, hybrid_opts(14.0, 24.0).with_deadline_ms(50));
+  try {
+    j.get();
+    FAIL() << "expected traversal_aborted";
+  } catch (const traversal_aborted& e) {
+    EXPECT_EQ(e.reason(), abort_reason::deadline_exceeded);
+  }
+  EXPECT_GT(inj.counters().stalls, 0u);
+  EXPECT_EQ(j.stats().outcome, "deadline_exceeded");
+  eng.wait_idle();
+  const auto c = eng.counters();
+  EXPECT_EQ(c.deadline_exceeded, 1u);
+  EXPECT_EQ(c.submitted, 1u);
+  EXPECT_EQ(c.submitted, terminal_sum(c));
+}
+
+TEST_F(HybridJob, ReverseReadErrorAbortsTheJobOnly) {
+  // Every read of the middle of the reverse file fails for good; an
+  // enormous alpha sends BFS bottom-up right after level 0, so a sweep
+  // reads it first.
+  const std::uint64_t rev_bytes =
+      std::filesystem::file_size(reverse_path_for(path_));
+  sem::fault_config fc;
+  fc.bad_begin = rev_bytes / 2;
+  fc.bad_end = rev_bytes / 2 + 64;
+  sem::fault_injector inj(fc);
+  const auto g = open_sem(&inj);
+  engine eng({.pool_threads = 4});
+  auto j = eng.submit_hybrid_bfs(*g, vertex32{0}, hybrid_opts(1e9, 1e9));
+  try {
+    j.get();
+    FAIL() << "expected traversal_aborted";
+  } catch (const traversal_aborted& e) {
+    EXPECT_EQ(e.reason(), abort_reason::none);
+    EXPECT_NE(std::string(e.what()).find("failed"), std::string::npos);
+  }
+  EXPECT_EQ(j.stats().outcome, "failed");
+  EXPECT_GT(inj.counters().range_hits, 0u);
+
+  // The engine and the graph stay usable.
+  inj.disarm();
+  const auto r = eng.submit_bfs(*g, vertex32{0}, small_cfg()).get();
+  EXPECT_EQ(r.level, serial_bfs(graph_, vertex32{0}).level);
+  eng.wait_idle();
+  const auto c = eng.counters();
+  EXPECT_EQ(c.failed, 1u);
+  EXPECT_EQ(c.completed, 1u);
+  EXPECT_EQ(c.submitted, terminal_sum(c));
+}
+
+TEST_F(HybridJob, StalledJobHoldsItsAdmissionSlotUntilCancelled) {
+  sem::fault_config fc;
+  fc.p_stall = 1.0;
+  sem::fault_injector inj(fc);
+  const auto g = open_sem(&inj);
+  engine eng({.pool_threads = 8,
+              .max_pending_jobs = 1,
+              .admission = service::admission_policy::reject});
+  auto stuck = eng.submit_hybrid_bfs(*g, vertex32{0}, hybrid_opts(14.0, 24.0));
+  try {
+    (void)eng.submit_hybrid_cc(*g, hybrid_opts(14.0, 24.0));
+    FAIL() << "expected admission_rejected";
+  } catch (const service::admission_rejected& e) {
+    EXPECT_EQ(e.why(), service::admission_rejected::kind::queue_full);
+  }
+  stuck.cancel();
+  try {
+    stuck.get();
+    FAIL() << "expected traversal_aborted";
+  } catch (const traversal_aborted& e) {
+    EXPECT_EQ(e.reason(), abort_reason::cancelled);
+  }
+  EXPECT_EQ(stuck.stats().outcome, "cancelled");
+  eng.wait_idle();
+  const auto c = eng.counters();
+  EXPECT_EQ(c.rejected, 1u);
+  EXPECT_EQ(c.cancelled, 1u);
+  EXPECT_EQ(c.submitted, terminal_sum(c));
+}
+
+TEST_F(HybridJob, StatsCountEveryPhaseAndRecentJobsNameTheDriver) {
+  const csr32 g = reversed(graph_);
+  engine eng({.pool_threads = 4});
+  hybrid_extra bx;
+  auto bj = eng.submit_hybrid_bfs(g, vertex32{0}, hybrid_opts(1.0, 64.0), &bx);
+  const auto b = bj.get();
+  EXPECT_EQ(b.level, serial_bfs(g, vertex32{0}).level);
+  EXPECT_GE(bx.direction_switches, 1u);
+  EXPECT_EQ(bj.stats().edge_inspections, bx.edge_inspections);
+  EXPECT_GT(b.stats.elapsed_seconds, 0.0);
+
+  hybrid_extra cx;
+  auto cj = eng.submit_hybrid_cc(g, hybrid_opts(14.0, 2.0), &cx);
+  const auto c = cj.get();
+  EXPECT_EQ(c.component, serial_cc(g).component);
+  EXPECT_EQ(cj.stats().edge_inspections, cx.edge_inspections);
+
+  eng.wait_idle();
+  const auto recent = eng.recent_jobs();
+  ASSERT_EQ(recent.size(), 2u);
+  EXPECT_EQ(recent[0].label, "hybrid_bfs");
+  EXPECT_EQ(recent[1].label, "hybrid_cc");
+  EXPECT_EQ(recent[0].outcome, "completed");
+  EXPECT_EQ(recent[1].outcome, "completed");
 }
 
 }  // namespace

@@ -109,21 +109,6 @@ TEST(OrderingPolicy, TryPopOnEmptyReturnsFalse) {
   EXPECT_EQ(v.vtx, 99u);  // untouched on failure
 }
 
-TEST(OrderingPolicy, ReserveHintRespected) {
-  visitor_queue_config cfg;
-  cfg.reserve_per_queue = 1024;
-  priority_order<probe_visitor> prio;
-  lifo_order<probe_visitor> lifo;
-  prio.configure(cfg);
-  lifo.configure(cfg);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    prio.push(probe_visitor{i, i});
-    lifo.push(probe_visitor{i, i});
-  }
-  EXPECT_EQ(prio.size(), 100u);
-  EXPECT_EQ(lifo.size(), 100u);
-}
-
 template <typename Order>
 void expect_no_copies(Order& order) {
   copy_counting_visitor::copies = 0;

@@ -107,7 +107,9 @@ int usage() {
                "hybrid traversal flags (docs/hybrid_traversal.md):\n"
                "  --hybrid               bfs/cc: frontier-adaptive direction\n"
                "                         switching (needs FILE.rev under\n"
-               "                         --sem; built in memory otherwise)\n"
+               "                         --sem; built in memory otherwise);\n"
+               "                         other subcommands and --resume\n"
+               "                         reject it (exit 2)\n"
                "  --hybrid-alpha X       top-down -> bottom-up (default 14)\n"
                "  --hybrid-beta X        bottom-up -> top-down (default 24)\n"
                "without FILE, traversals synthesize an RMAT graph\n"
@@ -319,12 +321,19 @@ int cmd_validate(const options& opt) {
 }
 
 /// traversal_options::from_flags with its rejections (bad values, removed
-/// flags) and a checkpoint path no bfs/sssp job will write reported as
-/// usage errors: exit 2 rather than the generic 1.
+/// flags), a checkpoint path no bfs/sssp job will write, and --hybrid where
+/// no hybrid driver runs reported as usage errors: exit 2 rather than the
+/// generic 1.
 bool parse_traversal_flags(const options& opt, bool sem_mode,
                            const std::string& cmd, traversal_options& out) {
   try {
     out = traversal_options::from_flags(opt, sem_mode);
+    if (opt.get_bool("hybrid", false) &&
+        ((cmd != "bfs" && cmd != "cc") ||
+         !opt.get_string("resume", "").empty())) {
+      throw std::invalid_argument(
+          "--hybrid runs bfs and cc only, and cannot resume a checkpoint");
+    }
     if (!out.checkpoint_path.empty() && cmd != "sssp" &&
         (cmd != "bfs" || opt.get_bool("hybrid", false))) {
       throw std::invalid_argument(
@@ -603,8 +612,7 @@ int cmd_bfs(const options& opt) {
     try {
       bfs_result<vertex32> r;
       hybrid_extra hex;
-      const bool hybrid =
-          opt.get_bool("hybrid", false) && opt.get_string("resume", "").empty();
+      const bool hybrid = opt.get_bool("hybrid", false);
       if (hybrid) {
         r = hybrid_bfs(g, start, cfg, &hex);
         print_hybrid(hex);

@@ -15,8 +15,9 @@
 # docs/robustness.md), the differential battery
 # (async vs serial labels across storage modes), the SEM read-path battery
 # (per-thread block windows, read-path identity under injected faults),
-# and the hybrid-traversal battery (the bottom-up sweeps' range-partitioned
-# parallel writes and the frontier estimator's worker-side sampling), the
+# and the hybrid-traversal battery (the bottom-up sweep gangs' per-lane
+# claim lists and the phase chain handing each job from one gang to the
+# next on the pool), the
 # sem_config bundle wiring, and the dynamic-graph battery (delta batches
 # applied while pinned readers iterate and async jobs run over old
 # epochs, plus the incremental-vs-recompute stream — docs/dynamic_graphs.md),
