@@ -11,12 +11,16 @@
 //
 // symmetric=true keeps a symmetric base symmetric: ops are drawn on
 // canonical (min, max) pairs and emitted in both directions — the
-// precondition for incremental CC (docs/dynamic_graphs.md).
+// precondition for incremental CC (docs/dynamic_graphs.md). A base that is
+// visibly not symmetric (its u<v and u>v edge counts differ) is rejected
+// with std::invalid_argument.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -152,15 +156,32 @@ std::vector<delta_batch<typename Graph::vertex_id>> generate_update_stream(
   std::vector<delta_batch<V>> stream;
   if (n < 2) return stream;
 
+  // A symmetric base holds each canonical pair as (min, max) and (max,
+  // min). The fill walks u upwards, so it meets (min, max) first: inserting
+  // only the u <= v edges puts the same pairs into the pool in the same
+  // order, with one probe each. The u > v edges are only counted, and a
+  // base whose two counts differ cannot be symmetric.
   detail::edge_pool live(params.symmetric ? g.num_edges() / 2
                                           : g.num_edges());
+  std::uint64_t below = 0, above = 0;
   for (std::uint64_t u = 0; u < n; ++u) {
     g.for_each_out_edge(static_cast<V>(u), [&](V v, weight_t) {
-      std::uint64_t a = u;
-      std::uint64_t b = static_cast<std::uint64_t>(v);
-      if (params.symmetric && a > b) std::swap(a, b);
-      live.insert({a, b});
+      const auto w = static_cast<std::uint64_t>(v);
+      if (!params.symmetric) {
+        live.insert({u, w});
+      } else if (u <= w) {
+        below += u < w;
+        live.insert({u, w});
+      } else {
+        ++above;
+      }
     });
+  }
+  if (below != above) {
+    throw std::invalid_argument(
+        "generate_update_stream: symmetric=true needs a symmetric base, but "
+        "it has " + std::to_string(below) + " edges u<v and " +
+        std::to_string(above) + " edges u>v");
   }
 
   std::mt19937_64 rng(params.seed);

@@ -18,16 +18,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <system_error>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
 #include "graph/types.hpp"
+#include "util/parallel.hpp"
 
 namespace asyncgt {
 
@@ -47,66 +44,6 @@ struct build_options {
 };
 
 namespace detail {
-
-/// Edge slots (input edges, doubled when symmetrizing) from which
-/// build_csr runs its passes on several threads (build_threads). Below it
-/// they run on the caller, so building many tiny graphs spawns no threads.
-inline constexpr std::uint64_t parallel_build_threshold = 1ull << 16;
-
-/// Runs f(t) for every t in [0, threads): t = 0 on the caller, the rest on
-/// their own std::threads (or on the caller, for parts whose thread could
-/// not be started). The first exception a part throws is rethrown once all
-/// have finished.
-template <typename F>
-void run_parts(std::size_t threads, const F& f) {
-  if (threads <= 1) {
-    f(std::size_t{0});
-    return;
-  }
-  std::exception_ptr error;
-  std::mutex mu;
-  const auto part = [&](std::size_t t) {
-    try {
-      f(t);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(mu);
-      if (!error) error = std::current_exception();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  std::size_t spawned = 1;
-  try {
-    for (; spawned < threads; ++spawned) pool.emplace_back(part, spawned);
-  } catch (const std::system_error&) {
-    // Out of threads: the caller runs the parts that did not start.
-  }
-  for (std::size_t t = spawned; t < threads; ++t) part(t);
-  part(0);
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
-}
-
-/// Width of build_csr's histogram cells: 32 bits whenever every slot index
-/// fits, which halves the histograms.
-inline std::size_t count_bytes(std::uint64_t slots) {
-  return slots <= UINT32_MAX ? 4 : 8;
-}
-
-/// Threads for a build of `slots` edge slots over `n` vertices: one below
-/// the threshold; otherwise hardware_concurrency(), capped twice. The
-/// per-thread histograms (threads x n cells) hold at most a quarter of a
-/// cell per slot, so zeroing and summing them stays cheap next to the
-/// edges, and take no more memory than the offsets and cursor arrays (two
-/// 64-bit words per vertex) of a serial placement, so a build's peak
-/// memory does not grow with the host's core count.
-inline std::size_t build_threads(std::uint64_t slots, std::uint64_t n) {
-  if (slots < parallel_build_threshold) return 1;
-  const std::uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::uint64_t memory_cap = 16 / count_bytes(slots);
-  return static_cast<std::size_t>(std::clamp<std::uint64_t>(
-      std::min(slots / (4 * (n + 1)), memory_cap), 1, hw));
-}
 
 /// build_csr with Count-wide histogram cells on exactly `threads` >= 1
 /// threads; the endpoints are already checked.
@@ -153,33 +90,9 @@ csr_graph<VertexId> build_csr_counting(std::size_t threads, std::uint64_t n,
   bool weighted = std::find(any_weight.begin(), any_weight.end(), 1) !=
                   any_weight.end();
 
-  // Pass 2: prefix sums. Each thread sums one vertex range; the range
-  // bases are summed serially; then each range turns its histogram cells
-  // into per-thread cursors (thread t's copies of v follow thread t-1's).
-  std::vector<offset_type> range_base(threads + 1, 0);
-  run_parts(threads, [&](std::size_t r) {
-    const auto [lo, hi] = vertex_range(r);
-    offset_type sum = 0;
-    for (std::uint64_t v = lo; v < hi; ++v) {
-      for (std::size_t t = 0; t < threads; ++t) sum += hist[t * n + v];
-    }
-    range_base[r + 1] = sum;
-  });
-  for (std::size_t r = 0; r < threads; ++r) {
-    range_base[r + 1] += range_base[r];
-  }
-  run_parts(threads, [&](std::size_t r) {
-    const auto [lo, hi] = vertex_range(r);
-    auto running = static_cast<Count>(range_base[r]);
-    for (std::uint64_t v = lo; v < hi; ++v) {
-      for (std::size_t t = 0; t < threads; ++t) {
-        const Count c = hist[t * n + v];
-        hist[t * n + v] = running;
-        running += c;
-      }
-    }
-  });
-  const offset_type total = range_base[threads];
+  // Pass 2: prefix sums; thread t's cursor for a source follows thread
+  // t-1's.
+  const offset_type total = histogram_cursors(threads, n, hist);
 
   // Pass 3: stable scatter into the source slots. The last thread's cursors
   // then end each source's slots: they become the offsets once the input
@@ -207,13 +120,8 @@ csr_graph<VertexId> build_csr_counting(std::size_t threads, std::uint64_t n,
     // Pass 4: sort each adjacency by (dst, weight) and keep the first copy
     // of each dst — the lowest weight. Vertex ranges split the slots
     // evenly; kept[v + 1] is v's surviving degree, then its new end.
-    std::vector<std::uint64_t> bound(threads + 1, n);
-    for (std::size_t r = 0; r < threads; ++r) {
-      bound[r] = static_cast<std::uint64_t>(
-          std::lower_bound(offsets.begin(), offsets.end() - 1,
-                           total * r / threads) -
-          offsets.begin());
-    }
+    const std::vector<std::uint64_t> bound =
+        edge_balanced_ranges(threads, offsets);
     std::vector<offset_type> kept(opt.remove_duplicates ? n + 1 : 0);
     std::fill(any_weight.begin(), any_weight.end(), 0);
     run_parts(threads, [&](std::size_t r) {

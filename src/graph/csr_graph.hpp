@@ -23,19 +23,118 @@
 // core/hybrid_traversal.hpp, the dobfs baseline on directed graphs,
 // graph_stats' in-degree summary) gate on has_reverse() at runtime. The
 // in-memory transpose is built on demand by ensure_reverse() — a counting
-// sort over the forward arrays, O(V+E) time, no edge list materialized —
-// and in-adjacency comes out sorted by source id, so the layout is
-// deterministic and binary-searchable like the forward one.
+// sort over the forward arrays, O(V+E) time, no edge list materialized,
+// parallel above detail::parallel_build_threshold edges — and in-adjacency
+// comes out sorted by source id, so the layout is deterministic and
+// binary-searchable like the forward one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
+#include "util/parallel.hpp"
 
 namespace asyncgt {
+
+namespace detail {
+
+/// The arrays of a transpose: csr_graph's reverse view.
+template <typename VertexId>
+struct transpose_arrays {
+  std::vector<std::uint64_t> offsets;
+  std::vector<VertexId> targets;
+  std::vector<weight_t> weights;
+};
+
+/// Splits the vertices of a CSR with these offsets into `parts`
+/// contiguous ranges of about equal edge counts: range r is
+/// [first[r], first[r + 1]).
+inline std::vector<std::uint64_t> edge_balanced_ranges(
+    std::size_t parts, std::span<const std::uint64_t> offsets) {
+  const std::uint64_t n = offsets.size() - 1;
+  std::vector<std::uint64_t> first(parts + 1, n);
+  for (std::size_t r = 0; r < parts; ++r) {
+    first[r] = static_cast<std::uint64_t>(
+        std::lower_bound(offsets.begin(), offsets.end() - 1,
+                         offsets.back() * r / parts) -
+        offsets.begin());
+  }
+  return first;
+}
+
+/// Transposes the CSR (offsets, targets, weights) with Count-wide
+/// histogram cells on exactly `threads` >= 1 threads. The sources split
+/// into contiguous ranges of about equal edge counts, one per thread, each
+/// with its own in-degree histogram. The histograms are prefix-summed in
+/// (vertex, thread) order, so thread t's slots for a vertex follow thread
+/// t-1's: every in-adjacency comes out sorted by source, as a serial pass
+/// over the sources in ascending order lays it out.
+template <typename Count, typename VertexId>
+transpose_arrays<VertexId> transpose_counting(
+    std::size_t threads, std::span<const std::uint64_t> offsets,
+    std::span<const VertexId> targets, std::span<const weight_t> weights) {
+  const std::uint64_t n = offsets.size() - 1;
+  const std::uint64_t m = targets.size();
+  const bool weighted = !weights.empty();
+  transpose_arrays<VertexId> out;
+  out.offsets.resize(n + 1);
+  out.targets.resize(m);
+  if (weighted) out.weights.resize(m);
+
+  const std::vector<std::uint64_t> first =
+      edge_balanced_ranges(threads, offsets);
+
+  // Pass 1: per-thread in-degree histograms.
+  std::vector<Count> hist(threads * n, 0);
+  run_parts(threads, [&](std::size_t t) {
+    Count* h = hist.data() + t * n;
+    for (std::uint64_t i = offsets[first[t]]; i < offsets[first[t + 1]];
+         ++i) {
+      ++h[targets[i]];
+    }
+  });
+
+  // Pass 2: per-thread cursors. Thread 0's cursor for v is where v's
+  // in-adjacency starts.
+  histogram_cursors(threads, n, hist);
+  std::copy_n(hist.begin(), n, out.offsets.begin());
+  out.offsets[n] = m;
+
+  // Pass 3: each thread scatters its sources, in ascending order.
+  run_parts(threads, [&](std::size_t t) {
+    Count* cursor = hist.data() + t * n;
+    for (std::uint64_t v = first[t]; v < first[t + 1]; ++v) {
+      for (std::uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        const Count slot = cursor[targets[i]]++;
+        out.targets[slot] = static_cast<VertexId>(v);
+        if (weighted) out.weights[slot] = weights[i];
+      }
+    }
+  });
+  return out;
+}
+
+/// The transpose of a CSR on exactly `threads` >= 1 threads (the result
+/// does not depend on the count).
+template <typename VertexId>
+transpose_arrays<VertexId> transpose_on(std::size_t threads,
+                                        std::span<const std::uint64_t> offsets,
+                                        std::span<const VertexId> targets,
+                                        std::span<const weight_t> weights) {
+  if (count_bytes(targets.size()) == 4) {
+    return transpose_counting<std::uint32_t>(threads, offsets, targets,
+                                             weights);
+  }
+  return transpose_counting<std::uint64_t>(threads, offsets, targets,
+                                           weights);
+}
+
+}  // namespace detail
 
 template <typename VertexId>
 class csr_graph {
@@ -116,28 +215,16 @@ class csr_graph {
   bool has_reverse() const noexcept { return !in_offsets_.empty(); }
 
   /// Builds the transpose in place if absent: a counting sort over the
-  /// forward arrays (no edge list). Self-loops and duplicate edges transpose
-  /// to themselves; zero-out-degree vertices simply contribute nothing, and
-  /// every vertex keeps an in-adjacency slot (possibly empty). Idempotent.
+  /// forward arrays (no edge list), on build_threads threads. Self-loops
+  /// and duplicate edges transpose to themselves; zero-out-degree vertices
+  /// simply contribute nothing, and every vertex keeps an in-adjacency slot
+  /// (possibly empty). Idempotent.
   void ensure_reverse() {
     if (has_reverse()) return;
-    const std::uint64_t n = num_vertices();
-    in_offsets_.assign(n + 1, 0);
-    for (const VertexId t : targets_) ++in_offsets_[t + 1];
-    for (std::uint64_t v = 0; v < n; ++v) in_offsets_[v + 1] += in_offsets_[v];
-    in_targets_.resize(targets_.size());
-    if (!weights_.empty()) in_weights_.resize(weights_.size());
-    std::vector<offset_type> cursor(in_offsets_.begin(),
-                                    in_offsets_.end() - 1);
-    // Outer loop ascends over sources, so each in-adjacency list comes out
-    // sorted by source id — a deterministic layout matching the forward one.
-    for (std::uint64_t v = 0; v < n; ++v) {
-      for (offset_type i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-        const offset_type slot = cursor[targets_[i]]++;
-        in_targets_[slot] = static_cast<VertexId>(v);
-        if (!weights_.empty()) in_weights_[slot] = weights_[i];
-      }
-    }
+    auto r = transposed();
+    in_offsets_ = std::move(r.offsets);
+    in_targets_ = std::move(r.targets);
+    in_weights_ = std::move(r.weights);
   }
 
   /// Adopts prebuilt transpose arrays (graph_io's reverse-file reader uses
@@ -194,16 +281,14 @@ class csr_graph {
 
   /// The transpose as a standalone graph (its out-edges are this graph's
   /// in-edges) — what graph_io serializes as the on-disk reverse edge file.
-  /// Reuses the reverse arrays when present, else builds them transiently.
+  /// Reuses the reverse arrays when present, else transposes directly.
   csr_graph<VertexId> transpose() const {
     if (has_reverse()) {
       return csr_graph<VertexId>(in_offsets_, in_targets_, in_weights_);
     }
-    csr_graph<VertexId> copy(offsets_, targets_, weights_);
-    copy.ensure_reverse();
-    return csr_graph<VertexId>(std::move(copy.in_offsets_),
-                               std::move(copy.in_targets_),
-                               std::move(copy.in_weights_));
+    auto r = transposed();
+    return csr_graph<VertexId>(std::move(r.offsets), std::move(r.targets),
+                               std::move(r.weights));
   }
 
   /// Approximate resident size, for memory-budget reporting in benches.
@@ -214,6 +299,12 @@ class csr_graph {
   }
 
  private:
+  detail::transpose_arrays<VertexId> transposed() const {
+    return detail::transpose_on<VertexId>(
+        detail::build_threads(num_edges(), num_vertices()), offsets_,
+        targets_, weights_);
+  }
+
   std::vector<offset_type> offsets_{0};
   std::vector<VertexId> targets_;
   std::vector<weight_t> weights_;

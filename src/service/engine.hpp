@@ -507,17 +507,17 @@ class engine {
           finalize(std::move(fin)) {}
   };
 
-  /// Resolves options against engine defaults, pins the job to this
-  /// engine's pool, grows the pool to the job's width, and stamps the
+  /// Resolves options against engine defaults, checks them, pins the job to
+  /// this engine's pool, grows the pool to the job's width, and stamps the
   /// service metrics into the job's registry (if any).
   visitor_queue_config prepare_config(
       const std::optional<traversal_options>& opts) {
-    const traversal_options& t = opts.has_value() ? *opts : defaults_;
+    const traversal_options& t = resolve(opts);
+    t.validate();
     visitor_queue_config cfg = t.queue;
     if (cfg.metrics == nullptr) cfg.metrics = defaults_.queue.metrics;
     if (cfg.trace == nullptr) cfg.trace = defaults_.queue.trace;
     if (cfg.sampler == nullptr) cfg.sampler = defaults_.queue.sampler;
-    cfg.validate();
     cfg.pool = &pool_;
     pool_.ensure_threads(cfg.num_threads);
     if (cfg.metrics != nullptr) {

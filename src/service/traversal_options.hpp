@@ -122,7 +122,23 @@ struct traversal_options {
     return *this;
   }
 
-  void validate() const { queue.validate(); }
+  /// Rejects impossible values with std::invalid_argument; the engine
+  /// calls it on every job's resolved options at submit.
+  void validate() const {
+    queue.validate();
+    if (!(cache_fraction <= 1.0)) {
+      throw std::invalid_argument(
+          "traversal_options: cache_fraction must be at most 1, got " +
+          std::to_string(cache_fraction));
+    }
+    if (!(hybrid_alpha > 0.0) || !(hybrid_beta > 0.0)) {
+      throw std::invalid_argument(
+          "traversal_options: hybrid_alpha and hybrid_beta must be "
+          "positive, got " +
+          std::to_string(hybrid_alpha) + " and " +
+          std::to_string(hybrid_beta));
+    }
+  }
 
   /// The single flag parser shared by agt_tool and the bench harnesses:
   ///   --threads=N        worker lanes            (default 16)

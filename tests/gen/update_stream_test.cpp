@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -173,6 +174,29 @@ TEST(UpdateStream, SameSeedSameStream) {
   const update_stream_params p{.seed = 9, .num_batches = 8, .batch_size = 16};
   EXPECT_EQ(stream_digest(generate_update_stream(g, p)),
             stream_digest(generate_update_stream(g, p)));
+}
+
+// The symmetric fill inserts only the u <= v half of a symmetric base; a
+// base with more edges on one side cannot be symmetric and is refused
+// rather than silently losing the pairs only its u > v half holds.
+TEST(UpdateStream, SymmetricStreamRejectsAnAsymmetricBase) {
+  const update_stream_params p{.seed = 3, .num_batches = 2, .batch_size = 4,
+                               .symmetric = true};
+  const csr32 lower = build_csr<vertex32>(4, {{1, 0, 1}, {2, 0, 1}, {3, 2, 1}});
+  EXPECT_THROW(generate_update_stream(lower, p), std::invalid_argument);
+  const csr32 upper = build_csr<vertex32>(4, {{0, 1, 1}, {1, 0, 1}, {0, 3, 1}});
+  EXPECT_THROW(generate_update_stream(upper, p), std::invalid_argument);
+  // The directed stream takes either base; so does the symmetric one once
+  // the base is symmetrized. Self loops count on neither side.
+  update_stream_params directed = p;
+  directed.symmetric = false;
+  EXPECT_EQ(generate_update_stream(lower, directed).size(), 2u);
+  build_options sym;
+  sym.symmetrize = true;
+  sym.remove_self_loops = false;
+  const csr32 both = build_csr<vertex32>(
+      4, {{1, 0, 1}, {2, 0, 1}, {3, 2, 1}, {3, 3, 1}}, sym);
+  EXPECT_EQ(generate_update_stream(both, p).size(), 2u);
 }
 
 TEST(UpdateStream, TinyGraphGivesAnEmptyStream) {

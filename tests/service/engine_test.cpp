@@ -16,8 +16,10 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asyncgt.hpp"
@@ -277,6 +279,54 @@ TEST(Engine, FreeFunctionsReuseTheProcessDefaultPool) {
       engine::process_default().pool().threads_spawned();
   for (int i = 0; i < 4; ++i) async_bfs(g, vertex32{0}, threads(4));
   EXPECT_EQ(engine::process_default().pool().threads_spawned(), warm);
+}
+
+
+// ---- submit-time option checks -----------------------------------------
+
+TEST(Engine, SubmitRejectsACacheFractionAboveOne) {
+  engine eng(engine::config{.pool_threads = 2, .defaults = threads(2)});
+  const csr32 g = rmat_graph<vertex32>(rmat_a(8));
+  for (const double bad : {1.5, 1e9, std::numeric_limits<double>::quiet_NaN()}) {
+    traversal_options o = threads(2);
+    o.cache_fraction = bad;
+    SCOPED_TRACE("cache_fraction=" + std::to_string(bad));
+    EXPECT_THROW((void)eng.submit_bfs(g, vertex32{0}, o),
+                 std::invalid_argument);
+    EXPECT_THROW((void)eng.submit_cc(g, o), std::invalid_argument);
+  }
+  // 1 (the whole file) and a negative "caller decides" are fine.
+  for (const double ok : {1.0, 0.0, -1.0}) {
+    traversal_options o = threads(2);
+    o.cache_fraction = ok;
+    EXPECT_NO_THROW(eng.submit_bfs(g, vertex32{0}, o).get());
+  }
+}
+
+TEST(Engine, SubmitRejectsNonPositiveHybridThresholds) {
+  engine eng(engine::config{.pool_threads = 2, .defaults = threads(2)});
+  csr32 g = rmat_graph_undirected<vertex32>(rmat_a(8));
+  g.ensure_reverse();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [alpha, beta] : {std::pair{0.0, 24.0}, {-1.0, 24.0},
+                                    {14.0, 0.0}, {14.0, -3.0}, {nan, 24.0},
+                                    {14.0, nan}}) {
+    traversal_options o = threads(2);
+    o.hybrid_alpha = alpha;
+    o.hybrid_beta = beta;
+    SCOPED_TRACE("alpha=" + std::to_string(alpha) +
+                 " beta=" + std::to_string(beta));
+    EXPECT_THROW((void)eng.submit_hybrid_bfs(g, vertex32{0}, o),
+                 std::invalid_argument);
+    EXPECT_THROW((void)eng.submit_hybrid_cc(g, o), std::invalid_argument);
+    EXPECT_THROW((void)eng.submit_bfs(g, vertex32{0}, o),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(eng.jobs_submitted(), 0u);
+  traversal_options o = threads(2);
+  o.hybrid_alpha = 1e-9;
+  o.hybrid_beta = 1e-9;
+  EXPECT_NO_THROW(eng.submit_hybrid_cc(g, o).get());
 }
 
 }  // namespace

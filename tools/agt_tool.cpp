@@ -192,8 +192,9 @@ int cmd_generate(const options& opt) {
         static_cast<std::uint64_t>(opt.get_int("memory-mb", 64)) << 20;
     bopt.symmetrize = opt.get_bool("undirected", false);
     sem::ooc_graph_builder<vertex32> builder(p.num_vertices(), out, bopt);
+    const rmat_sampler<vertex32> sample(p);
     for (std::uint64_t i = 0; i < p.num_edges(); ++i) {
-      const auto e = rmat_edge<vertex32>(p, i);
+      const auto e = sample(i);
       builder.add_edge(e.src, e.dst, e.weight);
     }
     const auto stats = builder.finalize();

@@ -26,7 +26,9 @@
 # docs/visitor_queue.md), and the CSR builder (Builder: the counting-sort
 # passes on per-thread chunks and vertex ranges, checked against the sort
 # builder) with the update-stream generator that reads its graphs
-# (UpdateStream).
+# (UpdateStream), the parallel transpose behind ensure_reverse (Transpose,
+# checked against the serial one), parallel RMAT generation (RmatEdges,
+# RmatGolden) and the fork-join helper all three share (RunParts).
 # Wraps the `tsan` presets in CMakePresets.json so CI and humans run the
 # identical configuration:
 #
@@ -42,5 +44,5 @@ cd "$(dirname "$0")/.."
 JOBS="${1:--j$(nproc)}"
 
 cmake --preset tsan
-cmake --build --preset tsan "${JOBS}" --target test_queue test_core test_fault test_service test_overload test_diff test_backend test_telemetry test_sem test_hybrid test_dynamic test_graph test_gen
+cmake --build --preset tsan "${JOBS}" --target test_queue test_core test_fault test_service test_overload test_diff test_backend test_telemetry test_sem test_hybrid test_dynamic test_graph test_gen test_util
 ctest --preset tsan
