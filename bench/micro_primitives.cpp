@@ -2,15 +2,21 @@
 // queue: the d-ary heap (vs std::priority_queue), the routing hash, the
 // spinlock (vs std::mutex), the RNG pipeline feeding the generators, and the
 // telemetry layer's overhead budget (BM_VisitorQueueTelemetry*: the
-// sinks-off run must stay within ~2% of the seed, see docs/observability.md).
+// sinks-off run must stay within ~2% of the seed, see docs/observability.md),
+// and the delta overlay's read path (BM_OverlayOutEdges).
 // These guard against regressions in the building blocks; the paper-level
 // experiments live in the table*/fig*/ablation* binaries.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <random>
 
+#include "gen/rmat.hpp"
+#include "gen/update_stream.hpp"
+#include "graph/delta_overlay.hpp"
 #include "queue/dary_heap.hpp"
 #include "queue/visitor_queue.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -210,6 +216,70 @@ void BM_ScopedSpanDisabled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ScopedSpanDisabled);
+
+// --- Delta overlay reads ----------------------------------------------------
+// A full out-edge sweep, as a traversal's visits make it, over the
+// dynamic-mixed graph: a symmetric RMAT-A scale-15 base behind a
+// delta_overlay after `batches` symmetric update batches of 16 pairs
+// (800 batches leave ~25k patched pairs). Arg 1 = 1 sweeps the compacted
+// CSR of the same epoch instead: the cost of the overlay itself is the gap.
+
+struct overlay_bench_graph {
+  asyncgt::csr32 base;
+  std::unique_ptr<asyncgt::delta_overlay<asyncgt::csr32>> ov;
+  asyncgt::csr32 compacted;
+};
+
+const overlay_bench_graph& overlay_graph(std::size_t batches) {
+  static std::map<std::size_t, std::unique_ptr<overlay_bench_graph>> cache;
+  auto& slot = cache[batches];
+  if (!slot) {
+    slot = std::make_unique<overlay_bench_graph>();
+    slot->base = asyncgt::rmat_graph_undirected<asyncgt::vertex32>(
+        asyncgt::rmat_a(15, 601));
+    slot->base.ensure_reverse();
+    slot->ov = std::make_unique<asyncgt::delta_overlay<asyncgt::csr32>>(
+        slot->base);
+    const auto stream = asyncgt::generate_update_stream(
+        slot->base, {.seed = 601, .num_batches = batches, .batch_size = 16,
+                     .delete_fraction = 0.3, .symmetric = true,
+                     .min_weight = 7, .max_weight = 8});
+    for (const auto& b : stream) slot->ov->apply(b);
+    slot->compacted = slot->ov->compact();
+  }
+  return *slot;
+}
+
+template <typename G>
+std::uint64_t sweep_out_edges(const G& g) {
+  std::uint64_t sum = 0;
+  for (std::uint64_t v = 0; v < g.num_vertices(); ++v) {
+    const auto u = static_cast<asyncgt::vertex32>(v);
+    sum += g.out_degree(u);
+    g.for_each_out_edge(
+        u, [&](asyncgt::vertex32 t, asyncgt::weight_t w) { sum += t + w; });
+  }
+  return sum;
+}
+
+void BM_OverlayOutEdges(benchmark::State& state) {
+  const auto& g = overlay_graph(static_cast<std::size_t>(state.range(0)));
+  const auto view = g.ov->snapshot();
+  const bool compacted = state.range(1) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compacted ? sweep_out_edges(g.compacted)
+                                       : sweep_out_edges(view));
+  }
+  state.counters["patched_pairs"] =
+      static_cast<double>(g.ov->counters().patched_pairs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(view.num_edges()));
+}
+BENCHMARK(BM_OverlayOutEdges)
+    ->Args({0, 0})
+    ->Args({800, 0})
+    ->Args({800, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

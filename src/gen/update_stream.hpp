@@ -21,6 +21,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -42,107 +43,143 @@ struct update_stream_params {
 
 namespace detail {
 
-/// Live-edge set with O(1) insert, erase, and uniform random sampling: a
-/// vector of pairs (sampled by index, erased by swap-remove) plus an
-/// open-addressed, linear-probing table of indices into it (erased by
-/// backward shift, so no tombstones pile up under churn). The table stays
-/// at most half full and lives in one flat array.
-class edge_pool {
+/// The stream's evolving edge model. The live pairs sit in a vector,
+/// sampled by index and erased by moving the last pair into the hole. A
+/// pair is live when the base holds it XOR the stream toggled it since
+/// (inserted it absent or erased it present): the base answers from each
+/// source's sorted distinct targets by binary search, and only the
+/// stream's own ops go into the toggle set.
+template <typename V>
+class live_pairs {
  public:
-  using key = std::pair<std::uint64_t, std::uint64_t>;
+  using key = std::pair<V, V>;
 
-  edge_pool() = default;
-  /// Sized for `expected` live pairs without growing.
-  explicit edge_pool(std::size_t expected) {
-    live_.reserve(expected);
-    rehash(table_size_for(expected));
+  /// An empty base: every pair starts absent.
+  live_pairs() = default;
+  /// Base pairs of source u are targets[offsets[u], offsets[u + 1]),
+  /// sorted and distinct; `live` lists them in sampling order.
+  live_pairs(std::vector<std::size_t> offsets, std::vector<V> targets,
+             std::vector<key> live)
+      : offsets_(std::move(offsets)),
+        targets_(std::move(targets)),
+        live_(std::move(live)) {}
+
+  bool contains(const key& k) const {
+    return in_base(k) != (toggled_.count(k) > 0);
   }
-
-  bool contains(const key& k) const { return find(k) != npos; }
   std::size_t size() const noexcept { return live_.size(); }
 
   bool insert(const key& k) {
-    if (2 * (live_.size() + 1) > slots_.size()) {
-      rehash(table_size_for(live_.size() + 1));
-    }
-    std::size_t s = home(k);
-    for (; slots_[s] != empty; s = (s + 1) & mask_) {
-      if (live_[slots_[s]] == k) return false;
-    }
-    slots_[s] = live_.size();
+    if (contains(k)) return false;
+    toggle(k);
     live_.push_back(k);
     return true;
   }
 
-  bool erase(const key& k) {
-    std::size_t s = find(k);
-    if (s == npos) return false;
-    const std::size_t i = slots_[s];
-    // Backward shift: pull later entries of the probe run into the hole
-    // unless that would move them before their home slot.
-    for (std::size_t j = (s + 1) & mask_; slots_[j] != empty;
-         j = (j + 1) & mask_) {
-      const std::size_t h = home(live_[slots_[j]]);
-      if (((j - h) & mask_) >= ((j - s) & mask_)) {
-        slots_[s] = slots_[j];
-        s = j;
-      }
-    }
-    slots_[s] = empty;
-    const std::size_t last = live_.size() - 1;
-    if (i != last) {
-      slots_[find(live_[last])] = i;
-      live_[i] = live_[last];
-    }
-    live_.pop_back();
-    return true;
-  }
-
+  /// Removes and returns a uniformly drawn live pair (size() > 0).
   template <typename Rng>
-  key sample(Rng& rng) const {
-    return live_[std::uniform_int_distribution<std::size_t>(
-        0, live_.size() - 1)(rng)];
+  key sample_and_erase(Rng& rng) {
+    const std::size_t i = std::uniform_int_distribution<std::size_t>(
+        0, live_.size() - 1)(rng);
+    const key k = live_[i];
+    toggle(k);
+    live_[i] = live_.back();
+    live_.pop_back();
+    return k;
   }
 
  private:
-  static constexpr std::size_t empty = static_cast<std::size_t>(-1);
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// Smallest power of two holding `n` pairs at most half full.
-  static std::size_t table_size_for(std::size_t n) {
-    std::size_t cap = 16;
-    while (cap < 2 * n) cap *= 2;
-    return cap;
-  }
-
-  std::size_t home(const key& k) const noexcept {
-    return static_cast<std::size_t>(
-               mix64(k.first * 0x9E3779B97F4A7C15ull + k.second)) &
-           mask_;
-  }
-
-  std::size_t find(const key& k) const {
-    if (slots_.empty()) return npos;
-    for (std::size_t s = home(k); slots_[s] != empty; s = (s + 1) & mask_) {
-      if (live_[slots_[s]] == k) return s;
+  struct key_hash {
+    std::size_t operator()(const key& k) const noexcept {
+      return static_cast<std::size_t>(
+          mix64(static_cast<std::uint64_t>(k.first) * 0x9E3779B97F4A7C15ull +
+                static_cast<std::uint64_t>(k.second)));
     }
-    return npos;
+  };
+
+  bool in_base(const key& k) const {
+    const auto u = static_cast<std::size_t>(k.first);
+    if (u + 1 >= offsets_.size()) return false;
+    return std::binary_search(targets_.begin() + offsets_[u],
+                              targets_.begin() + offsets_[u + 1], k.second);
   }
 
-  void rehash(std::size_t cap) {
-    slots_.assign(cap, empty);
-    mask_ = cap - 1;
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-      std::size_t s = home(live_[i]);
-      while (slots_[s] != empty) s = (s + 1) & mask_;
-      slots_[s] = i;
-    }
+  void toggle(const key& k) {
+    if (toggled_.erase(k) == 0) toggled_.insert(k);
   }
 
+  std::vector<std::size_t> offsets_;
+  std::vector<V> targets_;
   std::vector<key> live_;
-  std::vector<std::size_t> slots_;  ///< index into live_, or empty
-  std::size_t mask_ = 0;
+  std::unordered_set<key, key_hash> toggled_;
 };
+
+/// The model's starting state: g's distinct pairs, ordered by source and
+/// then by first occurrence in the adjacency. A symmetric base holds each
+/// canonical pair as (min, max) and (max, min); symmetric=true keeps only
+/// the u <= v half, which the walk meets first, and counts the u > v edges
+/// — a base whose two counts differ cannot be symmetric.
+template <typename Graph>
+live_pairs<typename Graph::vertex_id> base_pairs(const Graph& g,
+                                                 bool symmetric) {
+  using V = typename Graph::vertex_id;
+  const std::uint64_t n = g.num_vertices();
+  const std::size_t expected =
+      static_cast<std::size_t>(symmetric ? g.num_edges() / 2 + n
+                                         : g.num_edges());
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<V> targets;
+  std::vector<typename live_pairs<V>::key> live;
+  targets.reserve(expected);
+  live.reserve(expected);
+  std::vector<V> adj;
+  std::vector<char> seen;
+  std::uint64_t below = 0, above = 0;
+  for (std::uint64_t u = 0; u < n; ++u) {
+    const auto src = static_cast<V>(u);
+    adj.clear();
+    g.for_each_out_edge(src, [&](V v, weight_t) {
+      const auto w = static_cast<std::uint64_t>(v);
+      if (!symmetric || u <= w) {
+        below += symmetric && u < w;
+        adj.push_back(v);
+      } else {
+        ++above;
+      }
+    });
+    const std::size_t start = targets.size();
+    if (std::is_sorted(adj.begin(), adj.end())) {
+      for (std::size_t i = 0; i < adj.size(); ++i) {
+        if (i > 0 && adj[i] == adj[i - 1]) continue;
+        targets.push_back(adj[i]);
+        live.emplace_back(src, adj[i]);
+      }
+    } else {
+      targets.insert(targets.end(), adj.begin(), adj.end());
+      std::sort(targets.begin() + start, targets.end());
+      targets.erase(std::unique(targets.begin() + start, targets.end()),
+                    targets.end());
+      seen.assign(targets.size() - start, 0);
+      for (const V v : adj) {
+        const auto k = static_cast<std::size_t>(
+            std::lower_bound(targets.begin() + start, targets.end(), v) -
+            (targets.begin() + start));
+        if (seen[k]) continue;
+        seen[k] = 1;
+        live.emplace_back(src, v);
+      }
+    }
+    offsets[u + 1] = targets.size();
+  }
+  if (below != above) {
+    throw std::invalid_argument(
+        "generate_update_stream: symmetric=true needs a symmetric base, but "
+        "it has " + std::to_string(below) + " edges u<v and " +
+        std::to_string(above) + " edges u>v");
+  }
+  return live_pairs<V>(std::move(offsets), std::move(targets),
+                       std::move(live));
+}
 
 }  // namespace detail
 
@@ -156,33 +193,7 @@ std::vector<delta_batch<typename Graph::vertex_id>> generate_update_stream(
   std::vector<delta_batch<V>> stream;
   if (n < 2) return stream;
 
-  // A symmetric base holds each canonical pair as (min, max) and (max,
-  // min). The fill walks u upwards, so it meets (min, max) first: inserting
-  // only the u <= v edges puts the same pairs into the pool in the same
-  // order, with one probe each. The u > v edges are only counted, and a
-  // base whose two counts differ cannot be symmetric.
-  detail::edge_pool live(params.symmetric ? g.num_edges() / 2
-                                          : g.num_edges());
-  std::uint64_t below = 0, above = 0;
-  for (std::uint64_t u = 0; u < n; ++u) {
-    g.for_each_out_edge(static_cast<V>(u), [&](V v, weight_t) {
-      const auto w = static_cast<std::uint64_t>(v);
-      if (!params.symmetric) {
-        live.insert({u, w});
-      } else if (u <= w) {
-        below += u < w;
-        live.insert({u, w});
-      } else {
-        ++above;
-      }
-    });
-  }
-  if (below != above) {
-    throw std::invalid_argument(
-        "generate_update_stream: symmetric=true needs a symmetric base, but "
-        "it has " + std::to_string(below) + " edges u<v and " +
-        std::to_string(above) + " edges u>v");
-  }
+  detail::live_pairs<V> live = detail::base_pairs(g, params.symmetric);
 
   std::mt19937_64 rng(params.seed);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
@@ -198,8 +209,7 @@ std::vector<delta_batch<typename Graph::vertex_id>> generate_update_stream(
       const bool want_delete =
           coin(rng) < params.delete_fraction && live.size() > 0;
       if (want_delete) {
-        const auto [u, v] = live.sample(rng);
-        live.erase({u, v});
+        const auto [u, v] = live.sample_and_erase(rng);
         if (params.symmetric) {
           batch.erase_undirected(static_cast<V>(u), static_cast<V>(v));
         } else {
@@ -215,7 +225,7 @@ std::vector<delta_batch<typename Graph::vertex_id>> generate_update_stream(
         std::uint64_t v = vert(rng);
         if (u == v) continue;
         if (params.symmetric && u > v) std::swap(u, v);
-        if (!live.insert({u, v})) continue;
+        if (!live.insert({static_cast<V>(u), static_cast<V>(v)})) continue;
         const weight_t w = static_cast<weight_t>(wdist(rng));
         if (params.symmetric) {
           batch.insert_undirected(static_cast<V>(u), static_cast<V>(v), w);
@@ -226,8 +236,7 @@ std::vector<delta_batch<typename Graph::vertex_id>> generate_update_stream(
         break;
       }
       if (!inserted && live.size() > 0) {
-        const auto [u, v] = live.sample(rng);
-        live.erase({u, v});
+        const auto [u, v] = live.sample_and_erase(rng);
         if (params.symmetric) {
           batch.erase_undirected(static_cast<V>(u), static_cast<V>(v));
         } else {

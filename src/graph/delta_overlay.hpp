@@ -5,7 +5,7 @@
 // them safe to share between concurrent jobs. Real traffic mutates the
 // graph, so this header adds the mutation layer *above* the snapshot
 // instead of inside it: a delta_overlay records insert/delete batches in an
-// epoch-versioned per-vertex patch index, and an overlay_view pinned at an
+// epoch-versioned patch record per vertex, and an overlay_view pinned at an
 // epoch models the same GraphStorage concept as the base —
 // for_each_out_edge / in-edge iteration walk base ∪ inserts − deletes
 // without the base file or arrays ever being rewritten.
@@ -20,15 +20,20 @@
 // so a reader pinned at epoch e reconstructs exactly the edge set as of e
 // even while later batches land — delete→insert→delete sequences included.
 //
-// Concurrency. apply() serializes writers internally; readers never block
-// writers and vice versa beyond a sharded shared_mutex on the patch index.
-// A vertex with no patch entries is detected by a lock-free atomic flag and
-// iterates the base directly — the common case pays one acquire-load per
-// vertex. Queries pin their epoch once at view creation (snapshot()), so a
-// traversal in flight across a concurrent apply() sees one consistent edge
-// set throughout. rebase() (compaction) is the only operation that must not
-// run concurrently with readers, the same "not while readers are in flight"
-// contract as sem_csr::open_reverse.
+// Concurrency. apply() serializes writers internally. Each vertex holds one
+// immutable patch record per direction: its patched pairs sorted by the
+// other endpoint, each with its full event history, published through an
+// atomic pointer. apply() builds a fresh record for every vertex a batch
+// touches (the old record plus the batch's events), stores it with release
+// before it publishes the epoch, and retires the old record to a
+// writer-owned list that rebase() or the destructor frees, when no reader
+// can hold it. A reader never locks: one acquire-load per visit, and a
+// vertex with no record, or whose earliest event is newer than the pin,
+// iterates the base directly. Queries pin their epoch once at view creation
+// (snapshot()), so a traversal in flight across a concurrent apply() sees
+// one consistent edge set throughout. rebase() (compaction) is the only
+// operation that must not run concurrently with readers, the same "not while
+// readers are in flight" contract as sem_csr::open_reverse.
 //
 // Compaction. materialize()/compact() rewrite the overlay into a clean
 // csr_graph with (dst, weight)-sorted adjacency — byte-identical, once
@@ -39,14 +44,13 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
+#include <new>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -115,12 +119,9 @@ class delta_overlay {
   explicit delta_overlay(const Graph& base)
       : base_(&base),
         n_(base.num_vertices()),
-        out_flag_(std::make_unique<std::atomic<std::uint8_t>[]>(n_)),
-        in_flag_(std::make_unique<std::atomic<std::uint8_t>[]>(n_)) {
-    for (std::uint64_t v = 0; v < n_; ++v) {
-      out_flag_[v].store(0, std::memory_order_relaxed);
-      in_flag_[v].store(0, std::memory_order_relaxed);
-    }
+        out_(std::make_unique<std::atomic<const record*>[]>(n_)),
+        in_(std::make_unique<std::atomic<const record*>[]>(n_)) {
+    clear_records();
     head_edges_ = base.num_edges();
   }
 
@@ -181,10 +182,41 @@ class delta_overlay {
     const std::uint32_t e =
         static_cast<std::uint32_t>(epoch_.load(std::memory_order_relaxed)) + 1;
     const overlay_counters before = counters_;
-    for (const auto& [u, v] : batch.deletes) apply_delete(u, v, e);
+    // Ops on different pairs are independent under set semantics, so the
+    // batch is resolved pair by pair: grouped by (src, dst), deletes ahead
+    // of inserts and each kind in batch order (a stable sort of the
+    // deletes-then-inserts sequence).
+    std::vector<edge_op> ops;
+    ops.reserve(batch.size());
+    for (const auto& [u, v] : batch.deletes) ops.push_back({u, v, 1, false});
     for (const auto& ins : batch.inserts) {
-      apply_insert(ins.src, ins.dst, ins.weight, e);
+      ops.push_back({ins.src, ins.dst, ins.weight, true});
     }
+    std::stable_sort(ops.begin(), ops.end(),
+                     [](const edge_op& a, const edge_op& b) {
+                       return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+                     });
+    std::vector<pair_update> updates;
+    for (std::size_t i = 0; i < ops.size();) {
+      std::size_t j = i + 1;
+      while (j < ops.size() && ops[j].src == ops[i].src &&
+             ops[j].dst == ops[i].dst) {
+        ++j;
+      }
+      const pair_update up = resolve_pair(&ops[i], &ops[j], e);
+      if (up.num_events > 0) updates.push_back(up);
+      i = j;
+    }
+    // Both directions record the same events, so in-edge iteration stays
+    // consistent with out-edge iteration at every epoch.
+    publish(out_.get(), updates, e);
+    for (pair_update& up : updates) std::swap(up.vertex, up.other);
+    std::sort(updates.begin(), updates.end(),
+              [](const pair_update& a, const pair_update& b) {
+                return a.vertex != b.vertex ? a.vertex < b.vertex
+                                            : a.other < b.other;
+              });
+    publish(in_.get(), updates, e);
     head_edges_ = base_->num_edges() + counters_.live_inserts -
                   counters_.live_deletes;
     edges_at_epoch_.push_back(head_edges_);
@@ -261,7 +293,7 @@ class delta_overlay {
   /// Swaps in a freshly compacted base and drops every patch. The new base
   /// must hold the head epoch's edge set (compact() / compact_to_file
   /// output). Epochs keep counting — the lineage survives compaction, only
-  /// the patch index resets. NOT safe concurrently with readers or apply();
+  /// the patch records reset. NOT safe concurrently with readers or apply();
   /// quiesce queries first (docs/dynamic_graphs.md).
   void rebase(const Graph& new_base) {
     std::lock_guard lk(apply_mu_);
@@ -270,15 +302,9 @@ class delta_overlay {
           "delta_overlay: rebase vertex count mismatch");
     }
     base_ = &new_base;
-    for (auto& s : shards_) {
-      std::unique_lock slk(s.mu);
-      s.out.clear();
-      s.in.clear();
-    }
-    for (std::uint64_t v = 0; v < n_; ++v) {
-      out_flag_[v].store(0, std::memory_order_relaxed);
-      in_flag_[v].store(0, std::memory_order_relaxed);
-    }
+    clear_records();
+    records_.clear();
+    record_bytes_ = 0;
     counters_.live_inserts = 0;
     counters_.live_deletes = 0;
     counters_.patched_pairs = 0;
@@ -297,82 +323,57 @@ class delta_overlay {
     return compacted_epoch_;
   }
 
-  /// Patch-index heap footprint estimate, for resident_bytes accounting.
+  /// Heap bytes of every patch record, live and retired (the records
+  /// themselves; the two n-slot pointer arrays are fixed), for
+  /// resident_bytes accounting. 0 on a pristine or just-rebased overlay.
   std::uint64_t overlay_bytes() const {
     std::lock_guard lk(apply_mu_);
-    return counters_.patched_pairs *
-           (2 * (sizeof(pair_patch) + 2 * sizeof(event)));
+    return record_bytes_;
   }
 
   // ---- Pinned-epoch iteration (the overlay_view plumbing) ----
 
   std::uint64_t out_degree_at(vertex_id v, std::uint32_t e) const {
-    if (out_flag_[v].load(std::memory_order_acquire) == 0) {
-      return base_->out_degree(v);
-    }
-    std::int64_t d = static_cast<std::int64_t>(base_->out_degree(v));
-    visit_patches(shard_of(v).out, v, e,
-                  [&](const pair_patch& p, bool live_overlay) {
-                    d -= static_cast<std::int64_t>(p.base_copies);
-                    if (live_overlay) ++d;
-                  });
-    return static_cast<std::uint64_t>(d);
+    return degree_at(out_[v].load(std::memory_order_acquire),
+                     base_->out_degree(v), e);
   }
 
   std::uint64_t in_degree_at(vertex_id v, std::uint32_t e) const {
-    if (in_flag_[v].load(std::memory_order_acquire) == 0) {
-      return base_->in_degree(v);
-    }
-    std::int64_t d = static_cast<std::int64_t>(base_->in_degree(v));
-    visit_patches(shard_of(v).in, v, e,
-                  [&](const pair_patch& p, bool live_overlay) {
-                    d -= static_cast<std::int64_t>(p.base_copies);
-                    if (live_overlay) ++d;
-                  });
-    return static_cast<std::uint64_t>(d);
+    return degree_at(in_[v].load(std::memory_order_acquire),
+                     base_->in_degree(v), e);
   }
 
   template <typename F>
   void for_each_out_edge_at(vertex_id v, std::uint32_t e, F&& f) const {
-    // Unpatched fast path: one acquire-load, then the base untouched. The
-    // flag is only ever set (never cleared outside rebase), so a stale 0
-    // can only be read for patches from an epoch > the pinned one — which
-    // the filter would discard anyway.
-    if (out_flag_[v].load(std::memory_order_acquire) == 0) {
+    const record* r = out_[v].load(std::memory_order_acquire);
+    if (r == nullptr || e < r->min_epoch) {
       base_->for_each_out_edge(v, std::forward<F>(f));
       return;
     }
     merged_iterate(
-        shard_of(v).out, v, e,
-        [&](auto&& g) { base_->for_each_out_edge(v, g); },
-        std::forward<F>(f));
+        *r, e, [&](auto&& g) { base_->for_each_out_edge(v, g); }, f);
   }
 
   template <typename F>
   void for_each_in_edge_at(vertex_id v, std::uint32_t e, F&& f) const {
-    if (in_flag_[v].load(std::memory_order_acquire) == 0) {
+    const record* r = in_[v].load(std::memory_order_acquire);
+    if (r == nullptr || e < r->min_epoch) {
       base_->for_each_in_edge(v, std::forward<F>(f));
       return;
     }
     merged_iterate(
-        shard_of(v).in, v, e,
-        [&](auto&& g) { base_->for_each_in_edge(v, g); },
-        std::forward<F>(f));
+        *r, e, [&](auto&& g) { base_->for_each_in_edge(v, g); }, f);
   }
 
   /// True when (u, v) is present in the edge set of epoch e.
   bool has_edge_at(vertex_id u, vertex_id v, std::uint32_t e) const {
-    if (out_flag_[u].load(std::memory_order_acquire) != 0) {
-      const shard& s = shard_of(u);
-      std::shared_lock lk(s.mu);
-      const auto it = s.out.find(u);
-      if (it != s.out.end()) {
-        for (const pair_patch& p : it->second) {
-          if (p.other != v) continue;
-          const event* last = last_event_at(p, e);
-          if (last != nullptr) return last->is_insert;
-          break;  // no event at this epoch yet: fall through to base
-        }
+    const record* r = out_[u].load(std::memory_order_acquire);
+    if (r != nullptr && e >= r->min_epoch) {
+      const pair_patch* p = find_pair(*r, v);
+      if (p != nullptr) {
+        const event* last = last_event_at(*r, *p, e);
+        // No event at this epoch yet: the base decides.
+        if (last != nullptr) return last->is_insert;
       }
     }
     return base_has(u, v) > 0;
@@ -381,89 +382,136 @@ class delta_overlay {
  private:
   friend class overlay_view<Graph>;
 
-  /// One insert/delete of a (src, dst) pair. Events append in ascending
-  /// epoch order and strictly alternate in effect (set semantics filters
-  /// no-ops at apply time), so "last event at epoch e" decides presence.
+  /// One insert/delete of a (src, dst) pair. A pair's events are in
+  /// ascending epoch order and strictly alternate in effect (set semantics
+  /// filters no-ops at apply time), so "last event at epoch e" decides
+  /// presence.
   struct event {
     std::uint32_t epoch = 0;
     weight_t weight = 1;
     bool is_insert = false;
   };
 
-  /// Patch history of one (vertex, other) pair in one direction.
+  /// Patch history of one (vertex, other) pair in one direction: its
+  /// events are [first, first + count) of the record's event array.
   struct pair_patch {
     vertex_id other{};
     std::uint32_t base_copies = 0;  ///< parallel base copies this pair hides
-    std::vector<event> events;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
   };
 
-  struct shard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<vertex_id, std::vector<pair_patch>> out;
-    std::unordered_map<vertex_id, std::vector<pair_patch>> in;
-  };
+  /// The immutable patch record of one vertex in one direction, in one
+  /// allocation: this header, num_pairs pair_patches sorted by `other`,
+  /// then num_events events. Never written after publication.
+  struct record {
+    std::uint32_t min_epoch;   ///< earliest event: older pins read the base
+    std::uint32_t max_epoch;   ///< latest event: head_delta holds from here
+    std::uint32_t num_pairs;
+    std::uint32_t num_events;
+    std::int64_t head_delta;   ///< degree minus base degree at >= max_epoch
+    std::size_t bytes;         ///< size of the allocation
 
-  static constexpr std::size_t kShards = 64;
-
-  shard& shard_of(vertex_id v) const noexcept {
-    return shards_[static_cast<std::size_t>(v) % kShards];
-  }
-
-  static const event* last_event_at(const pair_patch& p, std::uint32_t e) {
-    const event* last = nullptr;
-    for (const event& ev : p.events) {
-      if (ev.epoch > e) break;  // ascending epochs
-      last = &ev;
+    const pair_patch* pairs() const noexcept {
+      return std::launder(reinterpret_cast<const pair_patch*>(this + 1));
     }
-    return last;
+    const event* events() const noexcept {
+      return std::launder(reinterpret_cast<const event*>(pairs() + num_pairs));
+    }
+  };
+  static_assert(sizeof(record) % alignof(pair_patch) == 0);
+  static_assert(sizeof(pair_patch) % alignof(event) == 0);
+
+  struct record_free {
+    void operator()(record* r) const noexcept { ::operator delete(r); }
+  };
+  using record_ptr = std::unique_ptr<record, record_free>;
+
+  /// One op of a batch being applied.
+  struct edge_op {
+    vertex_id src{};
+    vertex_id dst{};
+    weight_t weight = 1;
+    bool is_insert = false;
+  };
+
+  /// What a batch adds to one pair of `vertex`'s record: the base copies
+  /// the pair hides and its new events at the batch's epoch. Deletes run
+  /// before inserts, so a batch changes a pair at most twice.
+  struct pair_update {
+    vertex_id vertex{};
+    vertex_id other{};
+    std::uint32_t base_copies = 0;
+    std::uint32_t num_events = 0;
+    event events[2];
+  };
+
+  static const pair_patch* find_pair(const record& r, vertex_id other) {
+    const pair_patch* const end = r.pairs() + r.num_pairs;
+    const pair_patch* p = std::lower_bound(
+        r.pairs(), end, other,
+        [](const pair_patch& a, vertex_id o) { return a.other < o; });
+    return p != end && p->other == other ? p : nullptr;
   }
 
-  /// Invokes cb(patch, live_overlay_at_e) for every pair of v that has any
-  /// event at or before epoch e, under the shard's shared lock.
-  template <typename Map, typename Cb>
-  void visit_patches(const Map& map, vertex_id v, std::uint32_t e,
-                     Cb&& cb) const {
-    const shard& s = shard_of(v);
-    std::shared_lock lk(s.mu);
-    const auto it = map.find(v);
-    if (it == map.end()) return;
-    for (const pair_patch& p : it->second) {
-      const event* last = last_event_at(p, e);
+  static const event* last_event_at(const record& r, const pair_patch& p,
+                                    std::uint32_t e) {
+    // Scans from the newest event: head pins stop at the first one.
+    const event* ev = r.events() + p.first;
+    for (std::uint32_t k = p.count; k > 0; --k) {
+      if (ev[k - 1].epoch <= e) return &ev[k - 1];
+    }
+    return nullptr;
+  }
+
+  static std::uint64_t degree_at(const record* r, std::uint64_t base,
+                                 std::uint32_t e) {
+    if (r == nullptr || e < r->min_epoch) return base;
+    std::int64_t d = static_cast<std::int64_t>(base);
+    if (e >= r->max_epoch) return static_cast<std::uint64_t>(d + r->head_delta);
+    const pair_patch* const pairs = r->pairs();
+    for (std::uint32_t i = 0; i < r->num_pairs; ++i) {
+      const event* last = last_event_at(*r, pairs[i], e);
       if (last == nullptr) continue;  // history starts after the pin
-      cb(p, last->is_insert);
+      d -= static_cast<std::int64_t>(pairs[i].base_copies);
+      if (last->is_insert) ++d;
     }
+    return static_cast<std::uint64_t>(d);
   }
 
-  /// The merged iteration both directions share: copy the pinned-epoch
-  /// patch summary out under the shared lock (so the base walk — which may
-  /// be a disk read on SEM storage — runs without holding it), then stream
-  /// base edges minus suppressed pairs, then the overlay copies sorted by
-  /// (other, weight) for a deterministic layout.
+  /// The merged iteration both directions share: base edges minus every
+  /// pair with history at or before e, then the pairs' live overlay copies
+  /// in `other` order. A merge cursor walks the sorted pairs beside the
+  /// base adjacency; the first base target out of order switches the rest
+  /// of this vertex to binary search, so an unsorted base reads the same.
   template <typename BaseIter, typename F>
-  void merged_iterate(
-      const std::unordered_map<vertex_id, std::vector<pair_patch>>& map,
-      vertex_id v, std::uint32_t e, BaseIter&& base_iter, F&& f) const {
-    thread_local std::vector<vertex_id> suppressed;
-    thread_local std::vector<std::pair<vertex_id, weight_t>> copies;
-    suppressed.clear();
-    copies.clear();
-    visit_patches(map, v, e, [&](const pair_patch& p, bool live) {
-      suppressed.push_back(p.other);
-      if (live) {
-        copies.emplace_back(p.other, last_event_at(p, e)->weight);
-      }
-    });
-    if (suppressed.empty() && copies.empty()) {
-      base_iter(std::forward<F>(f));
-      return;
-    }
-    std::sort(suppressed.begin(), suppressed.end());
-    std::sort(copies.begin(), copies.end());
+  static void merged_iterate(const record& r, std::uint32_t e,
+                             BaseIter&& base_iter, F& f) {
+    const pair_patch* const begin = r.pairs();
+    const pair_patch* const end = begin + r.num_pairs;
+    const event* const events = r.events();
+    const pair_patch* cursor = begin;
+    bool sorted = true;
+    vertex_id prev{};
     base_iter([&](vertex_id t, weight_t w) {
-      if (std::binary_search(suppressed.begin(), suppressed.end(), t)) return;
+      const pair_patch* p;
+      if (sorted && t >= prev) {
+        while (cursor != end && cursor->other < t) ++cursor;
+        p = cursor;
+      } else {
+        sorted = false;
+        p = std::lower_bound(
+            begin, end, t,
+            [](const pair_patch& a, vertex_id o) { return a.other < o; });
+      }
+      prev = t;
+      if (p != end && p->other == t && events[p->first].epoch <= e) return;
       f(t, w);
     });
-    for (const auto& [t, w] : copies) f(t, w);
+    for (const pair_patch* p = begin; p != end; ++p) {
+      const event* last = last_event_at(r, *p, e);
+      if (last != nullptr && last->is_insert) f(p->other, last->weight);
+    }
   }
 
   /// Parallel base copies of (u, v) — a linear adjacency probe, only paid
@@ -476,125 +524,147 @@ class delta_overlay {
     return copies;
   }
 
-  /// Finds or creates the patch of (v -> other) in `map`; marks the flag.
-  pair_patch& patch_for(
-      std::unordered_map<vertex_id, std::vector<pair_patch>>& map,
-      std::atomic<std::uint8_t>* flags, vertex_id v, vertex_id other) {
-    auto& list = map[v];
-    for (pair_patch& p : list) {
-      if (p.other == other) return p;
+  // Callers hold apply_mu_ (as do the rest of the writer-side helpers).
+  // Runs one pair's ops [first, last) of a batch against its presence at
+  // the working epoch and returns the events that changed the edge set.
+  pair_update resolve_pair(const edge_op* first, const edge_op* last,
+                           std::uint32_t e) {
+    const vertex_id u = first->src;
+    const vertex_id v = first->dst;
+    const record* r = out_[u].load(std::memory_order_relaxed);
+    const pair_patch* p = r != nullptr ? find_pair(*r, v) : nullptr;
+    pair_update up{u, v, 0, 0, {}};
+    bool present;
+    if (p != nullptr) {
+      up.base_copies = p->base_copies;
+      present = r->events()[p->first + p->count - 1].is_insert;
+    } else {
+      up.base_copies = base_has(u, v);
+      present = up.base_copies > 0;
     }
-    list.push_back(pair_patch{other, 0, {}});
-    flags[v].store(1, std::memory_order_release);
-    return list.back();
-  }
-
-  // Callers hold apply_mu_. Presence at the working epoch decides
-  // idempotence; both directions' patches record the same event so in-edge
-  // iteration stays consistent with out-edge iteration at every epoch.
-  void apply_insert(vertex_id u, vertex_id v, weight_t w, std::uint32_t e) {
-    shard& su = shard_of(u);
-    std::unique_lock lku(su.mu);
-    auto out_it = su.out.find(u);
-    pair_patch* existing = nullptr;
-    if (out_it != su.out.end()) {
-      for (pair_patch& p : out_it->second) {
-        if (p.other == v) {
-          existing = &p;
-          break;
+    for (const edge_op* op = first; op != last; ++op) {
+      // Once the pair has any history, a present copy is the overlay's.
+      const bool overlay_copy = p != nullptr || up.num_events > 0;
+      if (op->is_insert) {
+        if (present) {
+          ++counters_.noop_inserts;
+          continue;
+        }
+        up.events[up.num_events++] = {e, op->weight, true};
+        ++counters_.applied_inserts;
+        ++counters_.live_inserts;
+        if (op->weight != 1) {
+          overlay_weighted_.store(true, std::memory_order_release);
+        }
+      } else {
+        if (!present) {
+          ++counters_.noop_deletes;
+          continue;
+        }
+        up.events[up.num_events++] = {e, 1, false};
+        ++counters_.applied_deletes;
+        if (overlay_copy) {
+          --counters_.live_inserts;
+        } else {
+          counters_.live_deletes += up.base_copies;
         }
       }
+      present = op->is_insert;
     }
-    const bool present = existing != nullptr && !existing->events.empty()
-                             ? existing->events.back().is_insert
-                             : base_has(u, v) > 0;
-    if (present) {
-      ++counters_.noop_inserts;
-      return;
-    }
-    std::uint32_t base_copies = 0;
-    if (existing == nullptr) {
-      base_copies = 0;  // absent pair with no history: base has no copies
-      counters_.patched_pairs++;
-    }
-    pair_patch& out_p = existing != nullptr
-                            ? *existing
-                            : patch_for(su.out, out_flag_.get(), u, v);
-    if (existing == nullptr) out_p.base_copies = base_copies;
-    out_p.events.push_back({e, w, true});
-    lku.unlock();
-    shard& sv = shard_of(v);
-    std::unique_lock lkv(sv.mu);
-    pair_patch& in_p = patch_for(sv.in, in_flag_.get(), v, u);
-    in_p.base_copies = out_p.base_copies;
-    in_p.events.push_back({e, w, true});
-    lkv.unlock();
-    ++counters_.applied_inserts;
-    ++counters_.live_inserts;
-    if (w != 1) overlay_weighted_.store(true, std::memory_order_release);
+    if (p == nullptr && up.num_events > 0) ++counters_.patched_pairs;
+    return up;
   }
 
-  void apply_delete(vertex_id u, vertex_id v, std::uint32_t e) {
-    shard& su = shard_of(u);
-    std::unique_lock lku(su.mu);
-    auto out_it = su.out.find(u);
-    pair_patch* existing = nullptr;
-    if (out_it != su.out.end()) {
-      for (pair_patch& p : out_it->second) {
-        if (p.other == v) {
-          existing = &p;
-          break;
-        }
+  /// Publishes one new record per vertex of `updates` (sorted by vertex,
+  /// then other) into `slots`; the old records stay owned by records_.
+  void publish(std::atomic<const record*>* slots,
+               const std::vector<pair_update>& updates, std::uint32_t e) {
+    for (std::size_t i = 0; i < updates.size();) {
+      std::size_t j = i + 1;
+      while (j < updates.size() && updates[j].vertex == updates[i].vertex) {
+        ++j;
+      }
+      std::atomic<const record*>& slot = slots[updates[i].vertex];
+      record_ptr r = build_record(slot.load(std::memory_order_relaxed),
+                                  &updates[i], &updates[j], e);
+      record_bytes_ += r->bytes;
+      // Owned before it is published: a failed push_back frees a record no
+      // reader can have loaded.
+      records_.push_back(std::move(r));
+      slot.store(records_.back().get(), std::memory_order_release);
+      i = j;
+    }
+  }
+
+  /// Merges `old` (may be null) with the batch's updates [first, last) of
+  /// one vertex into a new record, every pair's events still ascending.
+  static record_ptr build_record(const record* old, const pair_update* first,
+                                 const pair_update* last, std::uint32_t e) {
+    const std::uint32_t old_pairs = old != nullptr ? old->num_pairs : 0;
+    const pair_patch* const op = old != nullptr ? old->pairs() : nullptr;
+    std::uint32_t num_pairs = old_pairs;
+    std::uint32_t num_events = old != nullptr ? old->num_events : 0;
+    for (const pair_update* u = first; u != last; ++u) {
+      num_events += u->num_events;
+      if (old == nullptr || find_pair(*old, u->other) == nullptr) ++num_pairs;
+    }
+    const std::size_t bytes = sizeof(record) +
+                              num_pairs * sizeof(pair_patch) +
+                              num_events * sizeof(event);
+    record_ptr r(new (::operator new(bytes)) record{
+        e, e, num_pairs, num_events, 0, bytes});
+    auto* pairs = reinterpret_cast<pair_patch*>(r.get() + 1);
+    auto* events = reinterpret_cast<event*>(pairs + num_pairs);
+    std::uint32_t np = 0, ne = 0;
+    const auto emit = [&](vertex_id other, std::uint32_t base_copies,
+                          const event* ev, std::uint32_t n, const event* add,
+                          std::uint32_t n_add) {
+      new (&pairs[np++]) pair_patch{other, base_copies, ne, n + n_add};
+      for (std::uint32_t k = 0; k < n; ++k) new (&events[ne++]) event(ev[k]);
+      for (std::uint32_t k = 0; k < n_add; ++k) {
+        new (&events[ne++]) event(add[k]);
+      }
+      r->min_epoch = std::min(r->min_epoch, events[ne - n - n_add].epoch);
+      r->head_delta -= static_cast<std::int64_t>(base_copies);
+      if (events[ne - 1].is_insert) ++r->head_delta;
+    };
+    std::uint32_t i = 0;
+    const pair_update* u = first;
+    while (i < old_pairs || u != last) {
+      if (u == last || (i < old_pairs && op[i].other < u->other)) {
+        emit(op[i].other, op[i].base_copies, old->events() + op[i].first,
+             op[i].count, nullptr, 0);
+        ++i;
+      } else if (i < old_pairs && op[i].other == u->other) {
+        emit(op[i].other, op[i].base_copies, old->events() + op[i].first,
+             op[i].count, u->events, u->num_events);
+        ++i;
+        ++u;
+      } else {
+        emit(u->other, u->base_copies, nullptr, 0, u->events, u->num_events);
+        ++u;
       }
     }
-    bool deleting_overlay_copy = false;
-    std::uint32_t base_copies = 0;
-    if (existing != nullptr && !existing->events.empty()) {
-      if (!existing->events.back().is_insert) {
-        ++counters_.noop_deletes;
-        return;
-      }
-      deleting_overlay_copy = true;
-    } else {
-      base_copies = base_has(u, v);
-      if (base_copies == 0) {
-        ++counters_.noop_deletes;
-        return;
-      }
-    }
-    pair_patch& out_p = existing != nullptr
-                            ? *existing
-                            : patch_for(su.out, out_flag_.get(), u, v);
-    if (existing == nullptr) {
-      out_p.base_copies = base_copies;
-      counters_.patched_pairs++;
-    }
-    out_p.events.push_back({e, 1, false});
-    const std::uint32_t copies = out_p.base_copies;
-    lku.unlock();
-    shard& sv = shard_of(v);
-    std::unique_lock lkv(sv.mu);
-    pair_patch& in_p = patch_for(sv.in, in_flag_.get(), v, u);
-    in_p.base_copies = copies;
-    in_p.events.push_back({e, 1, false});
-    lkv.unlock();
-    ++counters_.applied_deletes;
-    if (deleting_overlay_copy) {
-      --counters_.live_inserts;
-    } else {
-      counters_.live_deletes += copies;
+    return r;
+  }
+
+  void clear_records() {
+    for (std::uint64_t v = 0; v < n_; ++v) {
+      out_[v].store(nullptr, std::memory_order_relaxed);
+      in_[v].store(nullptr, std::memory_order_relaxed);
     }
   }
 
   const Graph* base_;
   std::uint64_t n_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> out_flag_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> in_flag_;
-  mutable std::array<shard, kShards> shards_{};
+  std::unique_ptr<std::atomic<const record*>[]> out_;
+  std::unique_ptr<std::atomic<const record*>[]> in_;
   mutable std::mutex apply_mu_;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<bool> overlay_weighted_{false};
   // Guarded by apply_mu_:
+  std::vector<record_ptr> records_;  // every record built, live or retired
+  std::uint64_t record_bytes_ = 0;   // their total size
   overlay_counters counters_;
   std::uint64_t head_edges_ = 0;
   std::vector<std::uint64_t> edges_at_epoch_;  // [epoch-1] -> edge count
@@ -648,7 +718,7 @@ class overlay_view {
     return ov_->has_edge_at(u, v, epoch_);
   }
 
-  /// Base residency plus the patch index (service admission guardrail).
+  /// Base residency plus the patch records (service admission guardrail).
   std::uint64_t resident_bytes() const {
     return ov_->base().resident_bytes() + ov_->overlay_bytes();
   }

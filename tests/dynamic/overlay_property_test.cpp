@@ -1,11 +1,13 @@
-// Property tests for the delta overlay itself (ISSUE 10 satellite):
-// epoch-versioned iteration checked against a std::multiset reference
-// model across randomized op streams (never yields a deleted edge, never
-// misses an inserted one, at EVERY pinned epoch — including epochs pinned
-// before later batches landed), set-semantics idempotence, degree/edge
-// count consistency, compaction byte-identity between the in-memory path
-// (write_graph of the materialized graph) and the SEM ooc_builder path
-// (including the .agt.rev companion), and rebase.
+// Property tests for the delta overlay itself: epoch-versioned iteration
+// checked against a std::multiset reference model across randomized op
+// streams (never yields a deleted edge, never misses an inserted one, at
+// EVERY pinned epoch — including epochs pinned before later batches
+// landed), set-semantics idempotence, degree/edge count consistency,
+// compaction byte-identity between the in-memory path (write_graph of the
+// materialized graph) and the SEM ooc_builder path (including the .agt.rev
+// companion), and rebase. An order model checks every read path of pinned
+// views (iteration order, degrees, has_edge) over sorted and unsorted
+// bases, and overlay_bytes() is checked against record growth and rebase.
 //
 // Every randomized case prints its seed in the failure message so a red
 // run reproduces with one constant, diff-harness style.
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -57,7 +60,9 @@ struct model {
 
 /// Builds a base with self-loops AND parallel copies retained, so the
 /// overlay's all-copies delete semantics actually gets exercised.
-csr_graph<vertex32> messy_base(std::uint64_t seed) {
+/// sort_adjacency=false keeps each out-adjacency in generation order.
+csr_graph<vertex32> messy_base(std::uint64_t seed,
+                               bool sort_adjacency = true) {
   const rmat_params p = rmat_a(7, static_cast<std::uint32_t>(seed));
   auto edges = rmat_edges<vertex32>(p);
   // Duplicate a slice with different weights and add a few self-loops.
@@ -70,6 +75,7 @@ csr_graph<vertex32> messy_base(std::uint64_t seed) {
   build_options opt;
   opt.remove_self_loops = false;
   opt.remove_duplicates = false;
+  opt.sort_adjacency = sort_adjacency;
   opt.build_reverse = true;
   return build_csr<vertex32>(p.num_vertices(), edges, opt);
 }
@@ -263,6 +269,175 @@ TEST(OverlayProperty, OutOfRangeEndpointThrows) {
   EXPECT_THROW(ov.apply(delta_batch<vertex32>{}.erase(0, n)),
                std::out_of_range);
   EXPECT_EQ(ov.epoch(), 0u) << "failed batch must not advance the epoch";
+}
+
+/// The read contract as a model. `touched` holds every pair with history:
+/// whether it is present, and its live copy's weight. A vertex iterates its
+/// base adjacency in base order minus every touched pair, then the touched
+/// pairs' live copies sorted by the other endpoint.
+struct order_model {
+  using seq = std::vector<std::pair<vertex32, weight_t>>;
+  std::map<std::pair<vertex32, vertex32>, std::pair<bool, weight_t>> touched;
+
+  bool present(const csr_graph<vertex32>& base, vertex32 u, vertex32 v) const {
+    const auto it = touched.find({u, v});
+    if (it != touched.end()) return it->second.first;
+    bool found = false;
+    base.for_each_out_edge(u, [&](vertex32 t, weight_t) { found |= t == v; });
+    return found;
+  }
+
+  void apply(const csr_graph<vertex32>& base, const delta_batch<vertex32>& b) {
+    for (const auto& [u, v] : b.deletes) {
+      if (present(base, u, v)) touched[{u, v}] = {false, 0};
+    }
+    for (const auto& e : b.inserts) {
+      if (!present(base, e.src, e.dst)) {
+        touched[{e.src, e.dst}] = {true, e.weight};
+      }
+    }
+  }
+
+  seq out(const csr_graph<vertex32>& base, vertex32 u) const {
+    seq s;
+    base.for_each_out_edge(u, [&](vertex32 t, weight_t w) {
+      if (touched.count({u, t}) == 0) s.emplace_back(t, w);
+    });
+    for (auto it = touched.lower_bound({u, 0});
+         it != touched.end() && it->first.first == u; ++it) {
+      if (it->second.first) s.emplace_back(it->first.second, it->second.second);
+    }
+    return s;
+  }
+
+  seq in(const csr_graph<vertex32>& base, vertex32 v) const {
+    seq s;
+    base.for_each_in_edge(v, [&](vertex32 t, weight_t w) {
+      if (touched.count({t, v}) == 0) s.emplace_back(t, w);
+    });
+    // The map is ordered by (src, dst), so sources come out ascending.
+    for (const auto& [pair, state] : touched) {
+      if (pair.second == v && state.first) {
+        s.emplace_back(pair.first, state.second);
+      }
+    }
+    return s;
+  }
+};
+
+// Every read path of a view — out- and in-iteration in contract order,
+// both degrees, has_edge — against the model at every epoch, through the
+// view pinned when the epoch was the head and through snapshot_at after
+// later batches republished the records. The unsorted base runs the
+// binary-search fall-back of the merged iteration.
+TEST(OverlayProperty, PinnedViewsMatchTheOrderModelOnEveryReadPath) {
+  for (const bool sorted : {true, false}) {
+    for (const std::uint64_t seed : {6u, 29u}) {
+      SCOPED_TRACE(std::string(sorted ? "sorted" : "unsorted") +
+                   " seed=" + std::to_string(seed));
+      const csr_graph<vertex32> base = messy_base(seed, sorted);
+      const auto n = static_cast<vertex32>(base.num_vertices());
+      bool any_unsorted = false;
+      for (vertex32 v = 0; v < n; ++v) {
+        const auto adj = base.neighbors(v);
+        any_unsorted |= !std::is_sorted(adj.begin(), adj.end());
+      }
+      ASSERT_EQ(any_unsorted, !sorted);
+
+      delta_overlay<csr_graph<vertex32>> ov(base);
+      std::mt19937_64 rng(seed);
+      std::uniform_int_distribution<vertex32> vd(0, n - 1);
+      std::uniform_real_distribution<double> coin(0.0, 1.0);
+      // A few hot sources collect long histories across many records.
+      std::vector<vertex32> hot;
+      for (int i = 0; i < 6; ++i) hot.push_back(vd(rng));
+
+      order_model m;
+      std::vector<order_model> at_epoch = {m};
+      std::vector<overlay_view<csr_graph<vertex32>>> views = {ov.snapshot()};
+      constexpr int kEpochs = 10;
+      for (int e = 1; e <= kEpochs; ++e) {
+        delta_batch<vertex32> batch;
+        for (int i = 0; i < 40; ++i) {
+          const vertex32 u = coin(rng) < 0.5 ? hot[rng() % hot.size()]
+                                             : vd(rng);
+          const auto adj = base.neighbors(u);
+          const vertex32 v = coin(rng) < 0.4 && !adj.empty()
+                                 ? adj[rng() % adj.size()]
+                                 : vd(rng);
+          if (coin(rng) < 0.45) {
+            batch.erase(u, v);
+          } else {
+            batch.insert(u, v, static_cast<weight_t>(1 + (u + v + e) % 5));
+          }
+        }
+        m.apply(base, batch);
+        ov.apply(batch);
+        at_epoch.push_back(m);
+        views.push_back(ov.snapshot());
+      }
+
+      for (int e = 0; e <= kEpochs; ++e) {
+        SCOPED_TRACE("epoch=" + std::to_string(e));
+        const order_model& want = at_epoch[static_cast<std::size_t>(e)];
+        for (const auto& view :
+             {views[static_cast<std::size_t>(e)],
+              ov.snapshot_at(static_cast<std::uint64_t>(e))}) {
+          std::uint64_t edges = 0;
+          for (vertex32 v = 0; v < n; ++v) {
+            order_model::seq got;
+            view.for_each_out_edge(
+                v, [&](vertex32 t, weight_t w) { got.emplace_back(t, w); });
+            ASSERT_EQ(got, want.out(base, v)) << "out of " << v;
+            ASSERT_EQ(view.out_degree(v), got.size()) << v;
+            edges += got.size();
+            got.clear();
+            view.for_each_in_edge(
+                v, [&](vertex32 t, weight_t w) { got.emplace_back(t, w); });
+            ASSERT_EQ(got, want.in(base, v)) << "in of " << v;
+            ASSERT_EQ(view.in_degree(v), got.size()) << v;
+            for (vertex32 t = 0; t < n; ++t) {
+              ASSERT_EQ(view.has_edge(v, t), want.present(base, v, t))
+                  << v << "->" << t;
+            }
+          }
+          EXPECT_EQ(edges, view.num_edges());
+        }
+      }
+    }
+  }
+}
+
+// overlay_bytes() is the size of every record built: toggling one pair
+// keeps one patched pair but lengthens its history, so each batch
+// republishes larger records than the last. rebase() frees them all.
+TEST(OverlayProperty, OverlayBytesCountEveryRecordAndClearOnRebase) {
+  const csr_graph<vertex32> base = messy_base(12);
+  delta_overlay<csr_graph<vertex32>> ov(base);
+  EXPECT_EQ(ov.overlay_bytes(), 0u);
+  vertex32 u = 0, v = 1;
+  while (ov.snapshot().has_edge(u, v)) ++v;  // an absent pair, u != v
+  std::uint64_t bytes = 0, added = 0;
+  for (int i = 0; i < 6; ++i) {
+    delta_batch<vertex32> b;
+    if (i % 2 == 0) {
+      b.insert(u, v, 3);
+    } else {
+      b.erase(u, v);
+    }
+    ov.apply(b);
+    EXPECT_EQ(ov.counters().patched_pairs, 1u);
+    const std::uint64_t now = ov.overlay_bytes();
+    EXPECT_GT(now - bytes, added) << "batch " << i;
+    added = now - bytes;
+    bytes = now;
+  }
+  EXPECT_EQ(ov.snapshot().resident_bytes(), base.resident_bytes() + bytes);
+
+  const csr_graph<vertex32> clean = ov.compact(/*build_reverse=*/true);
+  ov.rebase(clean);
+  EXPECT_EQ(ov.overlay_bytes(), 0u);
+  EXPECT_EQ(ov.snapshot().resident_bytes(), clean.resident_bytes());
 }
 
 class OverlayCompaction : public ::testing::Test {

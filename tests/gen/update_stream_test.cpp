@@ -204,61 +204,114 @@ TEST(UpdateStream, TinyGraphGivesAnEmptyStream) {
   EXPECT_TRUE(generate_update_stream(g, {}).empty());
 }
 
-// ---- detail::edge_pool ----
+// ---- detail::live_pairs ----
 
-TEST(UpdateStream, PoolEraseThenReinsert) {
-  detail::edge_pool pool;
-  for (std::uint64_t i = 0; i < 40; ++i) ASSERT_TRUE(pool.insert({i, i + 1}));
-  EXPECT_FALSE(pool.insert({7, 8}));
-  EXPECT_TRUE(pool.erase({7, 8}));
-  EXPECT_FALSE(pool.contains({7, 8}));
-  EXPECT_FALSE(pool.erase({7, 8}));
-  EXPECT_EQ(pool.size(), 39u);
-  EXPECT_TRUE(pool.insert({7, 8}));
-  EXPECT_TRUE(pool.contains({7, 8}));
-  EXPECT_EQ(pool.size(), 40u);
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    EXPECT_TRUE(pool.contains({i, i + 1})) << i;
-    EXPECT_FALSE(pool.contains({i + 1, i})) << i;
+using pool_key = detail::live_pairs<vertex32>::key;
+
+/// A directed base that keeps unsorted adjacency, parallel copies and self
+/// loops: the model's fill must take first occurrences in adjacency order.
+csr32 unsorted_base(bool symmetric) {
+  auto edges = rmat_edges<vertex32>(rmat_a(9, 8));
+  const std::size_t dup = edges.size() / 6;
+  for (std::size_t i = 0; i < dup; ++i) {
+    edges.push_back(edges[i * 3 % edges.size()]);
+  }
+  build_options o;
+  o.sort_adjacency = false;
+  o.remove_duplicates = false;
+  o.remove_self_loops = false;
+  o.symmetrize = symmetric;
+  return build_csr<vertex32>(512, std::move(edges), o);
+}
+
+// Recorded from the hash-table pool this generator used before the
+// base-plus-toggles model.
+TEST(UpdateStream, UnsortedBaseWithDuplicatesMatchesGoldenDigest) {
+  for (const bool symmetric : {false, true}) {
+    SCOPED_TRACE(symmetric ? "symmetric" : "directed");
+    const auto s = generate_update_stream(
+        unsorted_base(symmetric),
+        {.seed = 24, .num_batches = 64, .batch_size = 64,
+         .delete_fraction = 0.4, .symmetric = symmetric, .min_weight = 1,
+         .max_weight = 5});
+    EXPECT_EQ(stream_digest(s),
+              symmetric ? 0xCD9FDDF49B3139A6ull : 0xD5FC3470DB49F888ull);
   }
 }
 
+// A pair leaves by sample_and_erase and comes back by insert, whether the
+// base or the stream put it there first.
+TEST(UpdateStream, PoolEraseThenReinsert) {
+  std::vector<edge<vertex32>> path;
+  for (vertex32 i = 0; i < 40; ++i) path.push_back({i, i + 1, 1});
+  auto pool = detail::base_pairs(build_csr<vertex32>(41, path), false);
+  EXPECT_EQ(pool.size(), 40u);
+  EXPECT_FALSE(pool.insert({7, 8}));
+  ASSERT_TRUE(pool.insert({8, 7}));
+  std::mt19937_64 rng(3);
+  std::set<pool_key> drawn;
+  while (pool.size() > 0) {
+    const pool_key k = pool.sample_and_erase(rng);
+    EXPECT_FALSE(pool.contains(k));
+    EXPECT_TRUE(drawn.insert(k).second) << "drawn twice";
+  }
+  EXPECT_EQ(drawn.size(), 41u);
+  for (vertex32 i = 0; i < 40; ++i) {
+    EXPECT_TRUE(drawn.count({i, i + 1})) << i;
+    EXPECT_FALSE(pool.contains({i, i + 1})) << i;
+  }
+  for (const pool_key& k : drawn) ASSERT_TRUE(pool.insert(k));
+  EXPECT_EQ(pool.size(), 41u);
+  for (const pool_key& k : drawn) EXPECT_TRUE(pool.contains(k));
+  EXPECT_FALSE(pool.contains({9, 8}));
+}
+
 TEST(UpdateStream, PoolEraseOfTheLastElement) {
-  detail::edge_pool pool;
+  detail::live_pairs<vertex32> pool;
   ASSERT_TRUE(pool.insert({1, 2}));
-  ASSERT_TRUE(pool.insert({3, 4}));
-  // {3, 4} sits last in the live vector: erasing it swaps with itself.
-  EXPECT_TRUE(pool.erase({3, 4}));
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_TRUE(pool.contains({1, 2}));
-  EXPECT_FALSE(pool.contains({3, 4}));
-  EXPECT_TRUE(pool.erase({1, 2}));
+  std::mt19937_64 rng(1);
+  // One live pair: the draw is that pair, which swaps with itself.
+  EXPECT_EQ(pool.sample_and_erase(rng), (pool_key{1, 2}));
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_FALSE(pool.contains({1, 2}));
   EXPECT_TRUE(pool.insert({3, 4}));
-  std::mt19937_64 rng(1);
-  EXPECT_EQ(pool.sample(rng), (detail::edge_pool::key{3, 4}));
+  EXPECT_EQ(pool.sample_and_erase(rng), (pool_key{3, 4}));
+  // The same for the only pair of a base.
+  auto based = detail::base_pairs(build_csr<vertex32>(2, {{0, 1, 1}}), false);
+  EXPECT_EQ(based.sample_and_erase(rng), (pool_key{0, 1}));
+  EXPECT_FALSE(based.contains({0, 1}));
+  EXPECT_TRUE(based.insert({0, 1}));
+  EXPECT_TRUE(based.contains({0, 1}));
 }
 
-// Random insert/erase churn against std::set: membership, size, and
-// the sampled keys stay in step, across many table growths.
+// Random insert / sample-and-erase churn against std::set, over an empty
+// base and over the unsorted base with parallel copies: membership, size
+// and every drawn pair stay in step.
 TEST(UpdateStream, PoolMatchesASetModelUnderChurn) {
-  detail::edge_pool pool;
-  std::set<detail::edge_pool::key> model;
-  std::mt19937_64 rng(77);
-  std::uniform_int_distribution<std::uint64_t> id(0, 255);
-  for (int i = 0; i < 200000; ++i) {
-    const detail::edge_pool::key k{id(rng), id(rng)};
-    if (rng() % 2 == 0) {
-      ASSERT_EQ(pool.erase(k), model.erase(k) == 1) << i;
-    } else {
-      ASSERT_EQ(pool.insert(k), model.insert(k).second) << i;
+  for (const bool with_base : {false, true}) {
+    SCOPED_TRACE(with_base ? "unsorted base" : "empty base");
+    const csr32 g = unsorted_base(false);
+    detail::live_pairs<vertex32> pool;
+    std::set<pool_key> model;
+    if (with_base) {
+      pool = detail::base_pairs(g, false);
+      model = edge_set(g);
     }
     ASSERT_EQ(pool.size(), model.size());
-    if (i % 4999 == 0) {
-      for (const auto& m : model) ASSERT_TRUE(pool.contains(m));
-      if (pool.size() > 0) {
-        ASSERT_TRUE(model.count(pool.sample(rng)));
+    std::mt19937_64 rng(77);
+    std::uniform_int_distribution<vertex32> id(0, 255);
+    for (int i = 0; i < 200000; ++i) {
+      if (rng() % 2 == 0 && pool.size() > 0) {
+        const pool_key k = pool.sample_and_erase(rng);
+        ASSERT_EQ(model.erase(k), 1u) << i;
+      } else {
+        const pool_key k{id(rng), id(rng)};
+        ASSERT_EQ(pool.contains(k), model.count(k) == 1) << i;
+        ASSERT_EQ(pool.insert(k), model.insert(k).second) << i;
+      }
+      ASSERT_EQ(pool.size(), model.size());
+      if (i % 4999 == 0) {
+        for (const auto& m : model) ASSERT_TRUE(pool.contains(m));
       }
     }
   }
